@@ -133,8 +133,7 @@ pub fn measure_presensing(
     let n = spice_columns.min(geometry.cols).max(1);
     // Alternating worst-case pattern, victim in the middle storing 1.
     let pattern: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-    let victim = n / 2 - (n / 2 + 1) % 2; // odd-even juggling: a stored-1 column
-    let victim = if pattern[victim] { victim } else { victim + 1 };
+    let victim = victim_column(n);
     let (ckt, nodes) = charge_sharing_array(&params, &pattern, 1e-12);
     // Simulate long enough to see the full settling.
     let model = ChargeSharingModel::new(tech, geometry);
@@ -172,6 +171,18 @@ pub fn measure_presensing(
     })
 }
 
+/// The stored-1 (even) column nearest the middle of an `n`-column
+/// window: the first even index at or past `n / 2`, or the last even
+/// index when that falls off the end (`n` ≤ 2).
+fn victim_column(n: usize) -> usize {
+    let middle = n / 2 + (n / 2) % 2;
+    if middle < n {
+        middle
+    } else {
+        middle - 2
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,5 +216,23 @@ mod tests {
         assert!(row.single_cell_cycles > 0);
         // The analytical model must be much faster than the transient sim.
         assert!(row.our_seconds < row.spice_seconds);
+    }
+
+    #[test]
+    fn victim_is_a_stored_one_column_inside_every_window() {
+        // The product windows (Table 1 and the benchmark) must keep
+        // their victims.
+        assert_eq!(victim_column(9), 4);
+        assert_eq!(victim_column(17), 8);
+        for n in 1..=32 {
+            let v = victim_column(n);
+            assert!(v < n && v.is_multiple_of(2), "window {n} picked column {v}");
+        }
+        let tech = Technology::n90();
+        for n in 1..=3 {
+            let row = measure_presensing(&tech, BankGeometry::new(2048, 32), n)
+                .unwrap_or_else(|e| panic!("{n}-column window: {e}"));
+            assert!(row.spice_cycles > 0);
+        }
     }
 }

@@ -9,11 +9,12 @@
 //! (temp file + `sync_all` + rename), so a crash mid-write never leaves
 //! a torn checkpoint: the previous complete one survives.
 //!
-//! Because every front end's span/pause machinery inserts *no* state
-//! change at a pause point, a run resumed from any checkpoint is
-//! bit-identical to the uninterrupted run — the property
-//! `tests/checkpoint_resume.rs` kills runs at arbitrary cycles to
-//! assert.
+//! Checkpointed runs and [`resume`] go through the crate's one span
+//! driver, which pauses every engine the same way; at each pause they
+//! seal and write a snapshot. A pause inserts *no* state change, so a
+//! run resumed from any checkpoint is bit-identical to the
+//! uninterrupted run — the property `tests/checkpoint_resume.rs` kills
+//! runs at arbitrary cycles to assert.
 //!
 //! Resume is **flag-free**: [`resume`] reads everything it needs from
 //! the header (the trace is regenerated deterministically from the
@@ -28,20 +29,22 @@
 //! harness constructs); resuming a run made with hand-built custom
 //! timings is out of scope (see DESIGN.md §12).
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
-use vrl_dram_sim::policy::PolicyState;
 use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
 use vrl_dram_sim::stats::SimStats;
-use vrl_dram_sim::AutoRefresh;
 use vrl_obs::{EventStream, Recorder};
 use vrl_sched::{SchedConfig, SchedStats, Scheduler};
 use vrl_snap::{Decoder, Encoder, SnapError, Snapshot as _};
 use vrl_trace::TraceRecord;
 
+use crate::drive::{drive, Pause, SpanEngine};
 use crate::error::Error;
-use crate::experiment::{Experiment, ExperimentConfig, MatrixCell, PolicyKind};
+use crate::experiment::{
+    matrix_jobs, with_policy, Experiment, ExperimentConfig, MatrixCell, PolicyKind,
+};
 
 /// Checkpoint cadence and destination for one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +107,13 @@ impl<S> CheckpointOutcome<S> {
         match self {
             CheckpointOutcome::Completed(s) => Some(s),
             CheckpointOutcome::Halted { .. } => None,
+        }
+    }
+
+    fn map<T>(self, f: impl FnOnce(S) -> T) -> CheckpointOutcome<T> {
+        match self {
+            CheckpointOutcome::Completed(s) => CheckpointOutcome::Completed(f(s)),
+            CheckpointOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
         }
     }
 }
@@ -311,11 +321,14 @@ impl vrl_snap::Snapshot for Header {
 /// engine. [`NullObserver`] has none; a [`Recorder`] checkpoints its
 /// event ring so a resumed traced run regenerates the identical stream.
 trait ObserverState: SimObserver {
+    /// Whether the observer records a trace that is part of the run.
+    const RECORDS: bool;
     fn save_obs(&self, enc: &mut Encoder);
     fn restore_obs(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError>;
 }
 
 impl ObserverState for NullObserver {
+    const RECORDS: bool = false;
     fn save_obs(&self, _enc: &mut Encoder) {}
     fn restore_obs(&mut self, _dec: &mut Decoder<'_>) -> Result<(), SnapError> {
         Ok(())
@@ -323,6 +336,7 @@ impl ObserverState for NullObserver {
 }
 
 impl ObserverState for Recorder {
+    const RECORDS: bool = true;
     fn save_obs(&self, enc: &mut Encoder) {
         self.save_state(enc);
     }
@@ -331,55 +345,77 @@ impl ObserverState for Recorder {
     }
 }
 
-fn write_checkpoint(path: &Path, sealed: &[u8]) -> Result<(), Error> {
-    vrl_snap::write_atomic(path, sealed).map_err(Error::Snapshot)
-}
-
-/// Dispatches over [`PolicyKind`] with the concrete policy bound in
-/// scope, so the generic drive functions monomorphize per policy.
-macro_rules! with_policy {
-    ($kind:expr, $plan:expr, |$p:ident| $body:expr) => {
-        match $kind {
-            PolicyKind::Auto => {
-                let $p = AutoRefresh::new(64.0);
-                $body
-            }
-            PolicyKind::Raidr => {
-                let $p = $plan.raidr();
-                $body
-            }
-            PolicyKind::Vrl => {
-                let $p = $plan.vrl();
-                $body
-            }
-            PolicyKind::VrlAccess => {
-                let $p = $plan.vrl_access();
-                $body
-            }
-        }
-    };
-}
-pub(crate) use with_policy;
-
-/// One checkpoint payload: header, resume point, engine state, observer
-/// state — sealed into the versioned, checksummed envelope.
-fn seal_payload(
+/// A checkpointed run of a fresh engine.
+fn checkpointed<E, I, O>(
+    engine: E,
+    trace: I,
     header: &Header,
-    stop: u64,
-    consumed: u64,
-    engine: impl FnOnce(&mut Encoder),
-    observer: &impl ObserverState,
-) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    header.save(&mut enc);
-    enc.put_u64(stop);
-    enc.put_u64(consumed);
-    engine(&mut enc);
-    observer.save_obs(&mut enc);
-    vrl_snap::seal(&enc.into_bytes())
+    ckpt: &CheckpointConfig,
+    observer: &mut O,
+) -> Result<CheckpointOutcome<E::Stats>, Error>
+where
+    E: SpanEngine,
+    I: Iterator<Item = TraceRecord>,
+    O: ObserverState,
+{
+    let cursor = E::Cursor::default();
+    checkpointed_from(engine, cursor, 0, trace, header, ckpt, observer)
+}
+
+/// Drives a checkpointed run from `cursor`, paused at cycle `paused_at`
+/// (`0` for a fresh run). Every pause seals the header, the resume
+/// point, the engine state, and the observer state into a snapshot at
+/// [`CheckpointConfig::path`]; the run halts after
+/// [`CheckpointConfig::halt_after`] snapshots.
+fn checkpointed_from<E, I, O>(
+    engine: E,
+    cursor: E::Cursor,
+    paused_at: u64,
+    trace: I,
+    header: &Header,
+    ckpt: &CheckpointConfig,
+    observer: &mut O,
+) -> Result<CheckpointOutcome<E::Stats>, Error>
+where
+    E: SpanEngine,
+    I: Iterator<Item = TraceRecord>,
+    O: ObserverState,
+{
+    let end = header.config.end_cycle();
+    let every = ckpt.every_cycles;
+    let first = paused_at.saturating_add(every);
+    let on_pause = |pause: Pause<'_, E, O>| {
+        let mut enc = Encoder::new();
+        header.save(&mut enc);
+        enc.put_u64(pause.stop);
+        enc.put_u64(E::consumed(pause.cursor));
+        pause.engine.save_run(pause.cursor, &mut enc);
+        pause.observer.save_obs(&mut enc);
+        vrl_snap::write_atomic(&ckpt.path, &vrl_snap::seal(&enc.into_bytes()))?;
+        Ok(if ckpt.halt_after.is_some_and(|k| pause.index >= k) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
+    };
+    drive(engine, cursor, trace, end, first, every, observer, on_pause)
 }
 
 impl Experiment {
+    /// A header binding a snapshot to this experiment's run of `policy`
+    /// on `benchmark`; front-end specifics are left unset.
+    fn header(&self, front_end: FrontEndKind, benchmark: &str, policy: PolicyKind) -> Header {
+        Header {
+            front_end,
+            benchmark: benchmark.to_owned(),
+            policy,
+            config: *self.config(),
+            queue_depth: 0,
+            sched: None,
+            traced: false,
+        }
+    }
+
     /// [`Experiment::run_policy`] with crash-consistent checkpoints: the
     /// single-bank simulator pauses every
     /// [`CheckpointConfig::every_cycles`] and atomically snapshots its
@@ -396,28 +432,11 @@ impl Experiment {
         ckpt: &CheckpointConfig,
     ) -> Result<CheckpointOutcome<SimStats>, Error> {
         ckpt.validated()?;
-        let header = Header {
-            front_end: FrontEndKind::Sim,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
-            queue_depth: 0,
-            sched: None,
-            traced: false,
-        };
+        let header = self.header(FrontEndKind::Sim, benchmark, kind);
         let trace = self.trace(benchmark)?;
         with_policy!(kind, self.plan(), |p| {
-            let mut sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            drive_sim(
-                &mut sim,
-                trace,
-                &header,
-                ckpt,
-                ckpt.every_cycles,
-                0,
-                0,
-                &mut NullObserver,
-            )
+            let sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
+            checkpointed(sim, trace, &header, ckpt, &mut NullObserver)
         })
     }
 
@@ -436,28 +455,14 @@ impl Experiment {
     ) -> Result<CheckpointOutcome<ControllerStats>, Error> {
         ckpt.validated()?;
         let header = Header {
-            front_end: FrontEndKind::FrFcfs,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
             queue_depth,
-            sched: None,
-            traced: false,
+            ..self.header(FrontEndKind::FrFcfs, benchmark, kind)
         };
         let trace = self.trace(benchmark)?;
         with_policy!(kind, self.plan(), |p| {
-            let mut ctl =
-                FrFcfsController::new(SimConfig::with_rows(self.config().rows), p, queue_depth)?;
-            drive_frfcfs(
-                &mut ctl,
-                trace,
-                &header,
-                ckpt,
-                ckpt.every_cycles,
-                0,
-                None,
-                &mut NullObserver,
-            )
+            let config = SimConfig::with_rows(self.config().rows);
+            let ctl = FrFcfsController::new(config, p, queue_depth)?;
+            checkpointed(ctl, trace, &header, ckpt, &mut NullObserver)
         })
     }
 
@@ -474,31 +479,7 @@ impl Experiment {
         sched: SchedConfig,
         ckpt: &CheckpointConfig,
     ) -> Result<CheckpointOutcome<SchedStats>, Error> {
-        ckpt.validated()?;
-        let header = Header {
-            front_end: FrontEndKind::Sched,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
-            queue_depth: 0,
-            sched: Some(SchedShape::of(&sched)),
-            traced: false,
-        };
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let mut engine = Scheduler::new(sched, p)?;
-            drive_sched(
-                &mut engine,
-                trace,
-                &header,
-                ckpt,
-                ckpt.every_cycles,
-                0,
-                None,
-                &mut NullObserver,
-            )
-            .map(|out| out.map_stats())
-        })
+        self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut NullObserver)
     }
 
     /// [`Experiment::run_scheduled_traced`] with crash-consistent
@@ -515,185 +496,31 @@ impl Experiment {
         sched: SchedConfig,
         ckpt: &CheckpointConfig,
     ) -> Result<CheckpointOutcome<(SchedStats, EventStream)>, Error> {
+        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
+        let outcome = self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut recorder)?;
+        Ok(outcome.map(|stats| (stats, recorder.finish())))
+    }
+
+    /// The scheduler checkpointed run, traced when `observer` records.
+    fn sched_checkpointed<O: ObserverState>(
+        &self,
+        kind: PolicyKind,
+        benchmark: &str,
+        sched: SchedConfig,
+        ckpt: &CheckpointConfig,
+        observer: &mut O,
+    ) -> Result<CheckpointOutcome<SchedStats>, Error> {
         ckpt.validated()?;
         let header = Header {
-            front_end: FrontEndKind::Sched,
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            config: *self.config(),
-            queue_depth: 0,
             sched: Some(SchedShape::of(&sched)),
-            traced: true,
+            traced: O::RECORDS,
+            ..self.header(FrontEndKind::Sched, benchmark, kind)
         };
         let trace = self.trace(benchmark)?;
-        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
-        let outcome = with_policy!(kind, self.plan(), |p| {
-            let mut engine = Scheduler::new(sched, p)?;
-            drive_sched(
-                &mut engine,
-                trace,
-                &header,
-                ckpt,
-                ckpt.every_cycles,
-                0,
-                None,
-                &mut recorder,
-            )?
-        });
-        Ok(match outcome {
-            SchedOutcome::Completed(stats) => {
-                CheckpointOutcome::Completed((stats, recorder.finish()))
-            }
-            SchedOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
+        with_policy!(kind, self.plan(), |p| {
+            let engine = Scheduler::new(sched, p)?;
+            checkpointed(engine, trace, &header, ckpt, observer)
         })
-    }
-}
-
-/// Scheduler drive outcome before the traced/untraced split. A
-/// short-lived return value, so the stats stay unboxed despite the
-/// variant size gap.
-#[allow(clippy::large_enum_variant)]
-enum SchedOutcome {
-    Completed(SchedStats),
-    Halted { checkpoints: u32 },
-}
-
-impl SchedOutcome {
-    fn map_stats(self) -> CheckpointOutcome<SchedStats> {
-        match self {
-            SchedOutcome::Completed(s) => CheckpointOutcome::Completed(s),
-            SchedOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_sim<P, I, O>(
-    sim: &mut Simulator<P>,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    mut stop: u64,
-    mut consumed: u64,
-    mut written: u32,
-    observer: &mut O,
-) -> Result<CheckpointOutcome<SimStats>, Error>
-where
-    P: vrl_dram_sim::policy::RefreshPolicy + PolicyState,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let end = vrl_dram_sim::TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
-    let mut trace = trace.peekable();
-    loop {
-        let span_end = stop.min(end);
-        consumed += sim.run_span_observed(&mut trace, span_end, observer);
-        if span_end >= end {
-            return Ok(CheckpointOutcome::Completed(
-                sim.finish_observed(end, observer),
-            ));
-        }
-        let payload = seal_payload(
-            header,
-            span_end,
-            consumed,
-            |enc| sim.save_state(enc),
-            observer,
-        );
-        write_checkpoint(&ckpt.path, &payload)?;
-        written += 1;
-        if ckpt.halt_after.is_some_and(|k| written >= k) {
-            return Ok(CheckpointOutcome::Halted {
-                checkpoints: written,
-            });
-        }
-        stop = stop.saturating_add(ckpt.every_cycles);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_frfcfs<P, I, O>(
-    ctl: &mut FrFcfsController<P>,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    mut stop: u64,
-    mut written: u32,
-    cursor: Option<vrl_dram_sim::controller::ControllerCursor>,
-    observer: &mut O,
-) -> Result<CheckpointOutcome<ControllerStats>, Error>
-where
-    P: vrl_dram_sim::policy::RefreshPolicy + PolicyState,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let end = vrl_dram_sim::TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
-    let mut cursor = cursor.unwrap_or_default();
-    let skip = cursor.pulled() as usize;
-    let mut trace = trace.take_while(|r| r.cycle < end).skip(skip).peekable();
-    loop {
-        let paused = ctl.run_span_observed(&mut cursor, &mut trace, end, stop, observer)?;
-        if !paused {
-            return Ok(CheckpointOutcome::Completed(ctl.finish(end)));
-        }
-        let payload = seal_payload(
-            header,
-            stop,
-            cursor.pulled(),
-            |enc| ctl.save_state(enc, &cursor),
-            observer,
-        );
-        write_checkpoint(&ckpt.path, &payload)?;
-        written += 1;
-        if ckpt.halt_after.is_some_and(|k| written >= k) {
-            return Ok(CheckpointOutcome::Halted {
-                checkpoints: written,
-            });
-        }
-        stop = stop.saturating_add(ckpt.every_cycles);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_sched<P, I, O>(
-    engine: &mut Scheduler<P>,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    mut stop: u64,
-    mut written: u32,
-    cursor: Option<vrl_sched::SchedCursor>,
-    observer: &mut O,
-) -> Result<SchedOutcome, Error>
-where
-    P: vrl_dram_sim::policy::RefreshPolicy + PolicyState,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let end = vrl_dram_sim::TimingParams::paper_default().ms_to_cycles(header.config.duration_ms);
-    let mut cursor = cursor.unwrap_or_default();
-    let skip = cursor.pulled() as usize;
-    let mut trace = trace.take_while(|r| r.cycle < end).skip(skip).peekable();
-    loop {
-        let paused = engine.run_span_observed(&mut cursor, &mut trace, end, stop, observer)?;
-        if !paused {
-            return Ok(SchedOutcome::Completed(engine.finish(end)));
-        }
-        let payload = seal_payload(
-            header,
-            stop,
-            cursor.pulled(),
-            |enc| engine.save_state(enc, &cursor),
-            observer,
-        );
-        write_checkpoint(&ckpt.path, &payload)?;
-        written += 1;
-        if ckpt.halt_after.is_some_and(|k| written >= k) {
-            return Ok(SchedOutcome::Halted {
-                checkpoints: written,
-            });
-        }
-        stop = stop.saturating_add(ckpt.every_cycles);
     }
 }
 
@@ -753,143 +580,77 @@ pub fn resume(path: &Path, ckpt: Option<&CheckpointConfig>) -> Result<ResumeRepo
     // Continue checkpointing on the caller's cadence, or run straight
     // through (a cadence past the horizon never pauses again).
     let fallback = CheckpointConfig::new(path, u64::MAX);
-    let cont = ckpt.unwrap_or(&fallback);
-    cont.validated()?;
-    let next_stop = stop.saturating_add(cont.every_cycles);
-
-    match header.front_end {
-        FrontEndKind::Sim => with_policy!(header.policy, experiment.plan(), |p| {
-            let mut sim = Simulator::new(SimConfig::with_rows(header.config.rows), p);
-            sim.restore_state(&mut dec)?;
-            let trace = trace.skip(consumed as usize);
-            let outcome = drive_sim(
-                &mut sim,
-                trace,
-                &header,
-                cont,
-                next_stop,
-                consumed,
-                0,
-                &mut NullObserver,
-            )?;
-            Ok(ResumeReport {
-                front_end: header.front_end,
-                benchmark: header.benchmark.clone(),
-                policy: header.policy,
-                outcome: match outcome {
-                    CheckpointOutcome::Completed(s) => {
-                        CheckpointOutcome::Completed(ResumedStats::Sim(s))
-                    }
-                    CheckpointOutcome::Halted { checkpoints } => {
-                        CheckpointOutcome::Halted { checkpoints }
-                    }
-                },
-                events: None,
-            })
-        }),
-        FrontEndKind::FrFcfs => with_policy!(header.policy, experiment.plan(), |p| {
-            let mut ctl = FrFcfsController::new(
-                SimConfig::with_rows(header.config.rows),
-                p,
-                header.queue_depth,
-            )?;
-            let cursor = ctl.restore_state(&mut dec)?;
-            let outcome = drive_frfcfs(
-                &mut ctl,
-                trace,
-                &header,
-                cont,
-                next_stop,
-                0,
-                Some(cursor),
-                &mut NullObserver,
-            )?;
-            Ok(ResumeReport {
-                front_end: header.front_end,
-                benchmark: header.benchmark.clone(),
-                policy: header.policy,
-                outcome: match outcome {
-                    CheckpointOutcome::Completed(s) => {
-                        CheckpointOutcome::Completed(ResumedStats::FrFcfs(s))
-                    }
-                    CheckpointOutcome::Halted { checkpoints } => {
-                        CheckpointOutcome::Halted { checkpoints }
-                    }
-                },
-                events: None,
-            })
-        }),
-        FrontEndKind::Sched => {
-            let shape = header.sched.ok_or(Error::Snapshot(SnapError::Malformed {
-                what: "scheduler snapshot lacks its geometry".to_owned(),
-            }))?;
-            let sched_config = shape.to_config()?;
-            with_policy!(header.policy, experiment.plan(), |p| {
-                let mut engine = Scheduler::new(sched_config, p)?;
-                let cursor = engine.restore_state(&mut dec)?;
-                if header.traced {
-                    let mut recorder = Recorder::new(
-                        &header.benchmark,
-                        header.policy.name(),
-                        sched_config.rows_per_bank(),
-                    );
-                    recorder.restore_obs(&mut dec)?;
-                    let outcome = drive_sched(
-                        &mut engine,
-                        trace,
-                        &header,
-                        cont,
-                        next_stop,
-                        0,
-                        Some(cursor),
-                        &mut recorder,
-                    )?;
-                    let (outcome, events) = match outcome {
-                        SchedOutcome::Completed(s) => (
-                            CheckpointOutcome::Completed(ResumedStats::Sched(s)),
-                            Some(recorder.finish()),
-                        ),
-                        SchedOutcome::Halted { checkpoints } => {
-                            (CheckpointOutcome::Halted { checkpoints }, None)
-                        }
-                    };
-                    Ok(ResumeReport {
-                        front_end: header.front_end,
-                        benchmark: header.benchmark.clone(),
-                        policy: header.policy,
-                        outcome,
-                        events,
-                    })
-                } else {
-                    let outcome = drive_sched(
-                        &mut engine,
-                        trace,
-                        &header,
-                        cont,
-                        next_stop,
-                        0,
-                        Some(cursor),
-                        &mut NullObserver,
-                    )?;
-                    Ok(ResumeReport {
-                        front_end: header.front_end,
-                        benchmark: header.benchmark.clone(),
-                        policy: header.policy,
-                        outcome: outcome.map_stats().map_resumed(),
-                        events: None,
-                    })
-                }
-            })
+    let ckpt = ckpt.unwrap_or(&fallback);
+    ckpt.validated()?;
+    let sched = header.sched.map(SchedShape::to_config).transpose()?;
+    let leg = Leg {
+        header: &header,
+        dec,
+        consumed,
+        paused_at: stop,
+        ckpt,
+    };
+    let rows = SimConfig::with_rows(header.config.rows);
+    let (outcome, events) = with_policy!(header.policy, experiment.plan(), |p| {
+        match header.front_end {
+            FrontEndKind::Sim => leg.run(Simulator::new(rows, p), trace, ResumedStats::Sim),
+            FrontEndKind::FrFcfs => {
+                let ctl = FrFcfsController::new(rows, p, header.queue_depth)?;
+                leg.run(ctl, trace, ResumedStats::FrFcfs)
+            }
+            FrontEndKind::Sched => {
+                let config = sched.ok_or(Error::Snapshot(SnapError::Malformed {
+                    what: "scheduler snapshot lacks its geometry".to_owned(),
+                }))?;
+                leg.run(Scheduler::new(config, p)?, trace, ResumedStats::Sched)
+            }
         }
-    }
+    })?;
+    Ok(ResumeReport {
+        front_end: header.front_end,
+        benchmark: header.benchmark,
+        policy: header.policy,
+        outcome,
+        events,
+    })
 }
 
-impl CheckpointOutcome<SchedStats> {
-    fn map_resumed(self) -> CheckpointOutcome<ResumedStats> {
-        match self {
-            CheckpointOutcome::Completed(s) => CheckpointOutcome::Completed(ResumedStats::Sched(s)),
-            CheckpointOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
+/// The rest of a snapshot once its header and resume point are read.
+struct Leg<'a> {
+    header: &'a Header,
+    dec: Decoder<'a>,
+    consumed: u64,
+    paused_at: u64,
+    ckpt: &'a CheckpointConfig,
+}
+
+impl Leg<'_> {
+    /// Restores `engine` (and, for traced runs, the event recorder) from
+    /// the snapshot and drives it on — the one resume path every front
+    /// end shares.
+    fn run<E, I>(
+        mut self,
+        mut engine: E,
+        trace: I,
+        wrap: fn(E::Stats) -> ResumedStats,
+    ) -> Result<(CheckpointOutcome<ResumedStats>, Option<EventStream>), Error>
+    where
+        E: SpanEngine,
+        I: Iterator<Item = TraceRecord>,
+    {
+        let cursor = engine.restore_run(self.consumed, &mut self.dec)?;
+        let (header, ckpt, at) = (self.header, self.ckpt, self.paused_at);
+        if !header.traced {
+            let outcome =
+                checkpointed_from(engine, cursor, at, trace, header, ckpt, &mut NullObserver)?;
+            return Ok((outcome.map(wrap), None));
         }
+        let rows_per_bank = header.sched.map_or(u32::MAX, |s| s.rows_per_bank);
+        let mut recorder = Recorder::new(&header.benchmark, header.policy.name(), rows_per_bank);
+        recorder.restore_obs(&mut self.dec)?;
+        let outcome = checkpointed_from(engine, cursor, at, trace, header, ckpt, &mut recorder)?;
+        let events = matches!(outcome, CheckpointOutcome::Completed(_)).then(|| recorder.finish());
+        Ok((outcome.map(wrap), events))
     }
 }
 
@@ -1001,11 +762,7 @@ impl Experiment {
             }
             let jobs: Vec<(&str, PolicyKind)> = missing.iter().map(|&k| (benchmark, k)).collect();
             let cells = vrl_exec::map_ordered(cfg, &jobs, |_, &(benchmark, kind)| {
-                self.run_policy(kind, benchmark).map(|stats| MatrixCell {
-                    benchmark: benchmark.to_owned(),
-                    policy: kind,
-                    stats,
-                })
+                self.matrix_cell(benchmark, kind)
             })
             .map_err(Error::from)?;
             manifest.cells.extend(cells);
@@ -1015,19 +772,16 @@ impl Experiment {
             vrl_snap::write_atomic(path, &sealed)?;
         }
         // Return benchmark-major regardless of completion order.
-        let mut ordered = Vec::with_capacity(manifest.cells.len());
-        for benchmark in vrl_trace::WorkloadSpec::BENCHMARKS {
-            for &kind in policies {
+        matrix_jobs(policies)
+            .map(|(benchmark, kind)| {
                 let cell = manifest
                     .cells
                     .iter()
-                    .find(|c| c.benchmark == benchmark && c.policy == kind)
-                    .ok_or_else(|| Error::ResumeMismatch {
-                        what: format!("manifest is missing {benchmark}/{}", kind.name()),
-                    })?;
-                ordered.push(cell.clone());
-            }
-        }
-        Ok(ordered)
+                    .find(|c| c.benchmark == benchmark && c.policy == kind);
+                cell.cloned().ok_or_else(|| Error::ResumeMismatch {
+                    what: format!("manifest is missing {benchmark}/{}", kind.name()),
+                })
+            })
+            .collect()
     }
 }

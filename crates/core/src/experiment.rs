@@ -18,13 +18,13 @@ use vrl_exec::{map_ordered, map_ordered_report, ExecConfig, PoolReport};
 
 use vrl_circuit::model::AnalyticalModel;
 use vrl_circuit::tech::Technology;
-use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
+use vrl_dram_sim::controller::ControllerStats;
 use vrl_dram_sim::fault::{FaultConfig, FaultInjector, FaultStats};
 use vrl_dram_sim::guard::{Guard, GuardConfig, GuardStats};
 use vrl_dram_sim::integrity::IntegrityChecker;
 use vrl_dram_sim::policy::AdaptivePolicy;
 use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
-use vrl_dram_sim::{AutoRefresh, SimStats, TimingParams};
+use vrl_dram_sim::{SimStats, TimingParams};
 use vrl_obs::{merge_streams, Event, EventStream, MetricsRegistry, MetricsSnapshot, Recorder};
 use vrl_power::model::{PowerBreakdown, PowerModel};
 use vrl_retention::distribution::RetentionDistribution;
@@ -68,6 +68,33 @@ impl PolicyKind {
         }
     }
 }
+
+/// Binds `$p` to the concrete policy `$kind` names — built from `$plan`
+/// — and evaluates `$body`, so generic engine code monomorphizes per
+/// policy. The one place a [`PolicyKind`] becomes a policy.
+macro_rules! with_policy {
+    ($kind:expr, $plan:expr, |$p:ident| $body:expr) => {
+        match $kind {
+            $crate::experiment::PolicyKind::Auto => {
+                let $p = vrl_dram_sim::AutoRefresh::new(64.0);
+                $body
+            }
+            $crate::experiment::PolicyKind::Raidr => {
+                let $p = $plan.raidr();
+                $body
+            }
+            $crate::experiment::PolicyKind::Vrl => {
+                let $p = $plan.vrl();
+                $body
+            }
+            $crate::experiment::PolicyKind::VrlAccess => {
+                let $p = $plan.vrl_access();
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_policy;
 
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -154,6 +181,12 @@ impl ExperimentConfig {
     pub fn build_plan(&self, profile: &BankProfile) -> RefreshPlan {
         let model = AnalyticalModel::new(Technology::n90());
         RefreshPlan::build(&model, profile, self.nbits, self.guard_band)
+    }
+
+    /// The cycle a run of this configuration ends at (paper timing, the
+    /// only timing the harness builds).
+    pub(crate) fn end_cycle(&self) -> u64 {
+        TimingParams::paper_default().ms_to_cycles(self.duration_ms)
     }
 }
 
@@ -281,22 +314,7 @@ impl Experiment {
         I: Iterator<Item = TraceRecord>,
         O: SimObserver,
     {
-        let sim_config = SimConfig::with_rows(self.config.rows);
-        let d = self.config.duration_ms;
-        match kind {
-            PolicyKind::Auto => {
-                Simulator::new(sim_config, AutoRefresh::new(64.0)).run_observed(trace, d, observer)
-            }
-            PolicyKind::Raidr => {
-                Simulator::new(sim_config, self.plan.raidr()).run_observed(trace, d, observer)
-            }
-            PolicyKind::Vrl => {
-                Simulator::new(sim_config, self.plan.vrl()).run_observed(trace, d, observer)
-            }
-            PolicyKind::VrlAccess => {
-                Simulator::new(sim_config, self.plan.vrl_access()).run_observed(trace, d, observer)
-            }
-        }
+        self.run_sim(kind, trace, 0, observer, |_| {})
     }
 
     /// Runs one policy against one benchmark on the single-bank front
@@ -328,11 +346,20 @@ impl Experiment {
         benchmark: &str,
     ) -> Result<(SimStats, usize), Error> {
         let trace = self.trace(benchmark)?;
-        let physics = ModelPhysics::new(&self.model);
-        let retention: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
-        let mut checker = IntegrityChecker::new(physics, TimingParams::paper_default(), retention);
+        let mut checker = self.integrity_checker(self.profiled_retention());
         let stats = self.run_policy_with(kind, trace, &mut checker);
         Ok((stats, checker.violations().len()))
+    }
+
+    /// Every row's profiled (weakest-cell) retention.
+    fn profiled_retention(&self) -> Vec<f64> {
+        self.profile.iter().map(|r| r.weakest_ms).collect()
+    }
+
+    /// The ground-truth charge checker over the given row retentions.
+    fn integrity_checker(&self, retention_ms: Vec<f64>) -> IntegrityChecker<ModelPhysics> {
+        let physics = ModelPhysics::new(&self.model);
+        IntegrityChecker::new(physics, TimingParams::paper_default(), retention_ms)
     }
 
     /// The Figure 4 comparison for one benchmark.
@@ -435,18 +462,9 @@ impl Experiment {
         cfg: &ExecConfig,
         policies: &[PolicyKind],
     ) -> Result<(Vec<MatrixCell>, PoolReport), Error> {
-        let jobs: Vec<(&str, PolicyKind)> = WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .collect();
-        let (result, report) = map_ordered_report(cfg, &jobs, |_, &(benchmark, kind)| {
-            self.run_policy(kind, benchmark).map(|stats| MatrixCell {
-                benchmark: benchmark.to_owned(),
-                policy: kind,
-                stats,
-            })
-        });
-        Ok((result.map_err(Error::from)?, report))
+        pooled_matrix(cfg, policies, |benchmark, kind| {
+            self.matrix_cell(benchmark, kind)
+        })
     }
 
     /// The serial reference for [`Experiment::run_matrix_with`].
@@ -455,17 +473,22 @@ impl Experiment {
     ///
     /// Propagates the first failing run's [`Error`].
     pub fn run_matrix_serial(&self, policies: &[PolicyKind]) -> Result<Vec<MatrixCell>, Error> {
-        WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .map(|(benchmark, kind)| {
-                self.run_policy(kind, benchmark).map(|stats| MatrixCell {
-                    benchmark: benchmark.to_owned(),
-                    policy: kind,
-                    stats,
-                })
-            })
+        matrix_jobs(policies)
+            .map(|(benchmark, kind)| self.matrix_cell(benchmark, kind))
             .collect()
+    }
+
+    /// One single-bank (benchmark × policy) matrix cell.
+    pub(crate) fn matrix_cell(
+        &self,
+        benchmark: &str,
+        kind: PolicyKind,
+    ) -> Result<MatrixCell, Error> {
+        Ok(MatrixCell {
+            benchmark: benchmark.to_owned(),
+            policy: kind,
+            stats: self.run_policy(kind, benchmark)?,
+        })
     }
 
     /// A scheduler geometry for this experiment's bank: the configured
@@ -545,21 +568,10 @@ impl Experiment {
         let trace = self.trace(benchmark)?;
         let label = format!("{benchmark}/ch{channel}");
         let mut recorder = Recorder::new(&label, kind.name(), sched.rows_per_bank());
-        let d = self.config.duration_ms;
-        let stats = match kind {
-            PolicyKind::Auto => Scheduler::for_channel(sched, AutoRefresh::new(64.0), channel)?
-                .run_observed(trace, d, &mut recorder)?,
-            PolicyKind::Raidr => Scheduler::for_channel(sched, self.plan.raidr(), channel)?
-                .run_observed(trace, d, &mut recorder)?,
-            PolicyKind::Vrl => Scheduler::for_channel(sched, self.plan.vrl(), channel)?
-                .run_observed(trace, d, &mut recorder)?,
-            PolicyKind::VrlAccess => Scheduler::for_channel(
-                sched,
-                self.plan.vrl_access(),
-                channel,
-            )?
-            .run_observed(trace, d, &mut recorder)?,
-        };
+        let stats = with_policy!(kind, self.plan, |p| {
+            let engine = Scheduler::for_channel(sched, p, channel)?;
+            self.run_spanned(engine, trace, 0, &mut recorder, |_| {})
+        })?;
         Ok((stats, recorder.finish()))
     }
 
@@ -620,40 +632,7 @@ impl Experiment {
         queue_depth: usize,
     ) -> Result<ControllerStats, Error> {
         let trace = self.trace(benchmark)?;
-        self.run_frfcfs_with(kind, trace, queue_depth)
-    }
-
-    /// Runs a policy on the FR-FCFS controller front end over an
-    /// explicit trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Sim`] for an invalid queue depth.
-    pub fn run_frfcfs_with<I>(
-        &self,
-        kind: PolicyKind,
-        trace: I,
-        queue_depth: usize,
-    ) -> Result<ControllerStats, Error>
-    where
-        I: Iterator<Item = TraceRecord>,
-    {
-        let config = SimConfig::with_rows(self.config.rows);
-        let d = self.config.duration_ms;
-        Ok(match kind {
-            PolicyKind::Auto => {
-                FrFcfsController::new(config, AutoRefresh::new(64.0), queue_depth)?.run(trace, d)?
-            }
-            PolicyKind::Raidr => {
-                FrFcfsController::new(config, self.plan.raidr(), queue_depth)?.run(trace, d)?
-            }
-            PolicyKind::Vrl => {
-                FrFcfsController::new(config, self.plan.vrl(), queue_depth)?.run(trace, d)?
-            }
-            PolicyKind::VrlAccess => {
-                FrFcfsController::new(config, self.plan.vrl_access(), queue_depth)?.run(trace, d)?
-            }
-        })
+        self.run_frfcfs_spanned_with(kind, trace, queue_depth, 0, |_| {})
     }
 
     /// Runs one policy against one benchmark on the multi-bank command
@@ -693,20 +672,9 @@ impl Experiment {
         I: Iterator<Item = TraceRecord>,
         O: SimObserver,
     {
-        let d = self.config.duration_ms;
-        Ok(match kind {
-            PolicyKind::Auto => {
-                Scheduler::new(sched, AutoRefresh::new(64.0))?.run_observed(trace, d, observer)?
-            }
-            PolicyKind::Raidr => {
-                Scheduler::new(sched, self.plan.raidr())?.run_observed(trace, d, observer)?
-            }
-            PolicyKind::Vrl => {
-                Scheduler::new(sched, self.plan.vrl())?.run_observed(trace, d, observer)?
-            }
-            PolicyKind::VrlAccess => {
-                Scheduler::new(sched, self.plan.vrl_access())?.run_observed(trace, d, observer)?
-            }
+        with_policy!(kind, self.plan, |p| {
+            let engine = Scheduler::new(sched, p)?;
+            self.run_spanned(engine, trace, 0, observer, |_| {})
         })
     }
 
@@ -744,9 +712,7 @@ impl Experiment {
         sched: SchedConfig,
     ) -> Result<(SchedStats, usize), Error> {
         let trace = self.trace(benchmark)?;
-        let physics = ModelPhysics::new(&self.model);
-        let retention: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
-        let mut checker = IntegrityChecker::new(physics, TimingParams::paper_default(), retention);
+        let mut checker = self.integrity_checker(self.profiled_retention());
         let stats = self.run_scheduled_with(kind, sched, trace, &mut checker)?;
         Ok((stats, checker.violations().len()))
     }
@@ -765,19 +731,9 @@ impl Experiment {
         policies: &[PolicyKind],
         sched: SchedConfig,
     ) -> Result<(Vec<SchedCell>, PoolReport), Error> {
-        let jobs: Vec<(&str, PolicyKind)> = WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .collect();
-        let (result, report) = map_ordered_report(cfg, &jobs, |_, &(benchmark, kind)| {
-            self.run_scheduled(kind, benchmark, sched)
-                .map(|stats| SchedCell {
-                    benchmark: benchmark.to_owned(),
-                    policy: kind,
-                    stats,
-                })
-        });
-        Ok((result.map_err(Error::from)?, report))
+        pooled_matrix(cfg, policies, |benchmark, kind| {
+            self.sched_cell(benchmark, kind, sched)
+        })
     }
 
     /// The serial reference for [`Experiment::run_sched_matrix_with`].
@@ -790,18 +746,22 @@ impl Experiment {
         policies: &[PolicyKind],
         sched: SchedConfig,
     ) -> Result<Vec<SchedCell>, Error> {
-        WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|name| policies.iter().map(move |&kind| (*name, kind)))
-            .map(|(benchmark, kind)| {
-                self.run_scheduled(kind, benchmark, sched)
-                    .map(|stats| SchedCell {
-                        benchmark: benchmark.to_owned(),
-                        policy: kind,
-                        stats,
-                    })
-            })
+        matrix_jobs(policies)
+            .map(|(benchmark, kind)| self.sched_cell(benchmark, kind, sched))
             .collect()
+    }
+
+    fn sched_cell(
+        &self,
+        benchmark: &str,
+        kind: PolicyKind,
+        sched: SchedConfig,
+    ) -> Result<SchedCell, Error> {
+        Ok(SchedCell {
+            benchmark: benchmark.to_owned(),
+            policy: kind,
+            stats: self.run_scheduled(kind, benchmark, sched)?,
+        })
     }
 
     /// Runs a policy under injected faults, optionally protected by the
@@ -823,17 +783,11 @@ impl Experiment {
         guard: Option<&GuardConfig>,
     ) -> Result<FaultedOutcome, Error> {
         let trace = self.trace(benchmark)?;
-        let profiled: Vec<f64> = self.profile.iter().map(|r| r.weakest_ms).collect();
-        let timing = TimingParams::paper_default();
-        let injector = FaultInjector::new(*faults, &profiled, timing);
-        Ok(match kind {
-            PolicyKind::Auto => self.faulted_run(AutoRefresh::new(64.0), trace, injector, guard),
-            PolicyKind::Raidr => self.faulted_run(self.plan.raidr(), trace, injector, guard),
-            PolicyKind::Vrl => self.faulted_run(self.plan.vrl(), trace, injector, guard),
-            PolicyKind::VrlAccess => {
-                self.faulted_run(self.plan.vrl_access(), trace, injector, guard)
-            }
-        })
+        let profiled = self.profiled_retention();
+        let injector = FaultInjector::new(*faults, &profiled, TimingParams::paper_default());
+        Ok(with_policy!(kind, self.plan, |p| {
+            self.faulted_run(p, trace, injector, guard)
+        }))
     }
 
     fn faulted_run<P, I>(
@@ -847,40 +801,54 @@ impl Experiment {
         P: AdaptivePolicy,
         I: Iterator<Item = TraceRecord>,
     {
-        let timing = TimingParams::paper_default();
-        let physics = ModelPhysics::new(&self.model);
         let true_retention = injector.true_retention();
         let d = self.config.duration_ms;
         let mut sim = Simulator::new(SimConfig::with_rows(self.config.rows), policy);
         sim.set_fault_injector(injector);
-        if let Some(cfg) = guard_cfg {
+        let (stats, violations, guard) = if let Some(cfg) = guard_cfg {
+            let physics = ModelPhysics::new(&self.model);
+            let timing = TimingParams::paper_default();
             let mut guard = Guard::new(physics, timing, true_retention, *cfg);
             let stats = sim.run_guarded(trace, d, &mut guard);
-            let faults = sim
-                .fault_injector()
-                .map(FaultInjector::stats)
-                .unwrap_or_default();
-            FaultedOutcome {
-                stats,
-                violations: 0,
-                guard: Some(guard.stats()),
-                faults,
-            }
+            (stats, 0, Some(guard.stats()))
         } else {
-            let mut checker = IntegrityChecker::new(physics, timing, true_retention);
+            let mut checker = self.integrity_checker(true_retention);
             let stats = sim.run_observed(trace, d, &mut checker);
-            let faults = sim
-                .fault_injector()
-                .map(FaultInjector::stats)
-                .unwrap_or_default();
-            FaultedOutcome {
-                stats,
-                violations: checker.violations().len(),
-                guard: None,
-                faults,
-            }
+            (stats, checker.violations().len(), None)
+        };
+        let faults = sim
+            .fault_injector()
+            .map(FaultInjector::stats)
+            .unwrap_or_default();
+        FaultedOutcome {
+            stats,
+            violations,
+            guard,
+            faults,
         }
     }
+}
+
+/// Every Figure 4 workload crossed with `policies`, benchmark-major.
+pub(crate) fn matrix_jobs(
+    policies: &[PolicyKind],
+) -> impl Iterator<Item = (&'static str, PolicyKind)> + '_ {
+    WorkloadSpec::BENCHMARKS
+        .into_iter()
+        .flat_map(move |name| policies.iter().map(move |&kind| (name, kind)))
+}
+
+/// Runs `cell` for every matrix job through the worker pool, in job
+/// order, with the pool's timing report.
+fn pooled_matrix<T: Send>(
+    cfg: &ExecConfig,
+    policies: &[PolicyKind],
+    cell: impl Fn(&str, PolicyKind) -> Result<T, Error> + Sync,
+) -> Result<(Vec<T>, PoolReport), Error> {
+    let jobs: Vec<_> = matrix_jobs(policies).collect();
+    let (result, report) =
+        map_ordered_report(cfg, &jobs, |_, &(benchmark, kind)| cell(benchmark, kind));
+    Ok((result.map_err(Error::from)?, report))
 }
 
 /// Routes one run's [`SimStats`] counters through a fresh metrics

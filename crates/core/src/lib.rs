@@ -46,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod checkpoint;
+mod drive;
 pub mod error;
 pub mod experiment;
 pub mod mprsf;

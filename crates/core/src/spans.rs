@@ -1,24 +1,25 @@
 //! Span-segmented runs with progress callbacks.
 //!
-//! The checkpointing layer proved that pausing an engine at an
-//! arbitrary cycle boundary inserts no state change: composing
-//! `run_span_observed` spans is bit-identical to one unsegmented run.
-//! This module reuses that property for *streaming progress* instead of
-//! snapshots — `vrl-serve` drives every job through the
-//! `run_*_spanned_with` family so clients receive per-span cycle counts
-//! while the final statistics stay byte-identical to the plain
-//! `run_policy` / `run_frfcfs` / `run_scheduled` paths (asserted by the
-//! tests below and by the serve bit-identity suite).
+//! Pausing an engine at a cycle boundary inserts no state change, so a
+//! run driven in spans is bit-identical to one unsegmented run. This
+//! module uses that property for *streaming progress*: `vrl-serve`
+//! drives every job through the `run_*_spanned_with` family so clients
+//! receive per-span cycle counts while the final statistics stay
+//! byte-identical to the plain `run_policy` / `run_frfcfs` /
+//! `run_scheduled` paths (asserted by the tests below and by the serve
+//! bit-identity suite). Plain runs are spanned runs that never pause.
 
-use vrl_dram_sim::controller::{ControllerCursor, ControllerStats, FrFcfsController};
-use vrl_dram_sim::sim::{NullObserver, SimConfig, Simulator};
-use vrl_dram_sim::{AutoRefresh, SimStats, TimingParams};
-use vrl_sched::{SchedConfig, SchedCursor, SchedStats, Scheduler};
+use std::ops::ControlFlow;
+
+use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
+use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
+use vrl_dram_sim::SimStats;
+use vrl_sched::{SchedConfig, SchedStats, Scheduler};
 use vrl_trace::TraceRecord;
 
-use crate::checkpoint::with_policy;
+use crate::drive::{drive, SpanEngine};
 use crate::error::Error;
-use crate::experiment::{Experiment, PolicyKind};
+use crate::experiment::{with_policy, Experiment, PolicyKind};
 
 /// Progress from one completed span of a spanned run: the run paused at
 /// `cycle` with simulation still ahead of it. Emitted only at pauses —
@@ -33,19 +34,68 @@ pub struct SpanProgress {
     pub end: u64,
 }
 
-/// Clamps a span cadence: `0` means "never pause" (one giant span).
-fn cadence(span_cycles: u64) -> u64 {
-    if span_cycles == 0 {
-        u64::MAX
-    } else {
-        span_cycles
-    }
-}
-
 impl Experiment {
-    /// The run's final cycle for this experiment's duration.
-    fn end_cycle(&self) -> u64 {
-        TimingParams::paper_default().ms_to_cycles(self.config().duration_ms)
+    /// Drives a fresh `engine` over `trace` to the end of the run,
+    /// pausing every `span_cycles` cycles (`0` = never) to report
+    /// progress to `on_span`.
+    pub(crate) fn run_spanned<E, I, O, F>(
+        &self,
+        engine: E,
+        trace: I,
+        span_cycles: u64,
+        observer: &mut O,
+        mut on_span: F,
+    ) -> Result<E::Stats, Error>
+    where
+        E: SpanEngine,
+        I: Iterator<Item = TraceRecord>,
+        O: SimObserver,
+        F: FnMut(SpanProgress),
+    {
+        let end = self.config().end_cycle();
+        let every = Some(span_cycles).filter(|&c| c > 0).unwrap_or(u64::MAX);
+        let start = E::Cursor::default();
+        let outcome = drive(
+            engine,
+            start,
+            trace,
+            end,
+            every.min(end),
+            every,
+            observer,
+            |pause| {
+                let progress = SpanProgress {
+                    span: pause.index,
+                    cycle: pause.stop,
+                    end,
+                };
+                on_span(progress);
+                Ok(ControlFlow::Continue(()))
+            },
+        )?;
+        Ok(outcome.completed().expect("spanned runs never halt"))
+    }
+
+    /// The single-bank simulator behind [`Experiment::run_policy_with`]
+    /// and [`Experiment::run_policy_spanned_with`].
+    pub(crate) fn run_sim<I, O, F>(
+        &self,
+        kind: PolicyKind,
+        trace: I,
+        span_cycles: u64,
+        observer: &mut O,
+        on_span: F,
+    ) -> SimStats
+    where
+        I: Iterator<Item = TraceRecord>,
+        O: SimObserver,
+        F: FnMut(SpanProgress),
+    {
+        with_policy!(kind, self.plan(), |p| {
+            let sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
+            self.run_spanned(sim, trace, span_cycles, observer, on_span)
+        })
+        .expect("the single-bank simulator cannot fail")
     }
 
     /// [`Experiment::run_policy_with`] segmented into spans of
@@ -56,37 +106,17 @@ impl Experiment {
         kind: PolicyKind,
         trace: I,
         span_cycles: u64,
-        mut on_span: F,
+        on_span: F,
     ) -> SimStats
     where
         I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
-        let end = self.end_cycle();
-        let every = cadence(span_cycles);
-        let mut trace = trace.peekable();
-        with_policy!(kind, self.plan(), |p| {
-            let mut sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            let mut stop = every.min(end);
-            let mut span = 0u32;
-            loop {
-                sim.run_span_observed(&mut trace, stop, &mut NullObserver);
-                if stop >= end {
-                    return sim.finish_observed(end, &mut NullObserver);
-                }
-                span += 1;
-                on_span(SpanProgress {
-                    span,
-                    cycle: stop,
-                    end,
-                });
-                stop = stop.saturating_add(every);
-            }
-        })
+        self.run_sim(kind, trace, span_cycles, &mut NullObserver, on_span)
     }
 
-    /// [`Experiment::run_frfcfs_with`] segmented into spans of
-    /// `span_cycles` cycles, invoking `on_span` at every pause.
+    /// [`Experiment::run_frfcfs`] over an explicit trace, segmented into
+    /// spans of `span_cycles` cycles, invoking `on_span` at every pause.
     /// Bit-identical to the unsegmented run.
     ///
     /// # Errors
@@ -98,35 +128,16 @@ impl Experiment {
         trace: I,
         queue_depth: usize,
         span_cycles: u64,
-        mut on_span: F,
+        on_span: F,
     ) -> Result<ControllerStats, Error>
     where
         I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
-        let end = self.end_cycle();
-        let every = cadence(span_cycles);
-        let mut trace = trace.take_while(|r| r.cycle < end).peekable();
         with_policy!(kind, self.plan(), |p| {
-            let mut ctl =
-                FrFcfsController::new(SimConfig::with_rows(self.config().rows), p, queue_depth)?;
-            let mut cursor = ControllerCursor::default();
-            let mut stop = every.min(end);
-            let mut span = 0u32;
-            loop {
-                let paused =
-                    ctl.run_span_observed(&mut cursor, &mut trace, end, stop, &mut NullObserver)?;
-                if !paused {
-                    return Ok(ctl.finish(end));
-                }
-                span += 1;
-                on_span(SpanProgress {
-                    span,
-                    cycle: stop,
-                    end,
-                });
-                stop = stop.saturating_add(every);
-            }
+            let config = SimConfig::with_rows(self.config().rows);
+            let ctl = FrFcfsController::new(config, p, queue_depth)?;
+            self.run_spanned(ctl, trace, span_cycles, &mut NullObserver, on_span)
         })
     }
 
@@ -152,7 +163,7 @@ impl Experiment {
     {
         with_policy!(kind, self.plan(), |p| {
             let engine = Scheduler::new(sched, p)?;
-            self.drive_sched_spanned(engine, trace, span_cycles, on_span)
+            self.run_spanned(engine, trace, span_cycles, &mut NullObserver, on_span)
         })
     }
 
@@ -181,44 +192,8 @@ impl Experiment {
     {
         with_policy!(kind, self.plan(), |p| {
             let engine = Scheduler::for_channel(sched, p, channel)?;
-            self.drive_sched_spanned(engine, trace, span_cycles, on_span)
+            self.run_spanned(engine, trace, span_cycles, &mut NullObserver, on_span)
         })
-    }
-
-    /// The shared scheduler span loop behind the spanned sched/DIMM
-    /// entry points.
-    fn drive_sched_spanned<P, I, F>(
-        &self,
-        mut engine: Scheduler<P>,
-        trace: I,
-        span_cycles: u64,
-        mut on_span: F,
-    ) -> Result<SchedStats, Error>
-    where
-        P: vrl_dram_sim::policy::RefreshPolicy,
-        I: Iterator<Item = TraceRecord>,
-        F: FnMut(SpanProgress),
-    {
-        let end = self.end_cycle();
-        let every = cadence(span_cycles);
-        let mut trace = trace.take_while(|r| r.cycle < end).peekable();
-        let mut cursor = SchedCursor::default();
-        let mut stop = every.min(end);
-        let mut span = 0u32;
-        loop {
-            let paused =
-                engine.run_span_observed(&mut cursor, &mut trace, end, stop, &mut NullObserver)?;
-            if !paused {
-                return Ok(engine.finish(end));
-            }
-            span += 1;
-            on_span(SpanProgress {
-                span,
-                cycle: stop,
-                end,
-            });
-            stop = stop.saturating_add(every);
-        }
     }
 }
 

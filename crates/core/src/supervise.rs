@@ -27,10 +27,9 @@
 use vrl_exec::{ExecConfig, Quarantined, Supervisor, SupervisorCounters, SupervisorEvent};
 use vrl_obs::recorder::NO_ROW;
 use vrl_obs::{Event, EventKind, MetricsRegistry, MetricsSnapshot};
-use vrl_trace::WorkloadSpec;
 
 use crate::error::Error;
-use crate::experiment::{Experiment, MatrixCell, PolicyKind};
+use crate::experiment::{matrix_jobs, Experiment, MatrixCell, PolicyKind};
 
 /// Maps supervision decisions onto typed observability events.
 ///
@@ -124,11 +123,7 @@ impl Experiment {
         jobs: &[(String, PolicyKind)],
     ) -> SupervisedMatrix {
         let batch = vrl_exec::map_supervised(cfg, sup, jobs, |_, (benchmark, kind)| {
-            self.run_policy(*kind, benchmark).map(|stats| MatrixCell {
-                benchmark: benchmark.clone(),
-                policy: *kind,
-                stats,
-            })
+            self.matrix_cell(benchmark, *kind)
         });
         SupervisedMatrix {
             events: supervisor_events_to_obs(&batch.events),
@@ -149,9 +144,8 @@ impl Experiment {
         sup: &Supervisor,
         policies: &[PolicyKind],
     ) -> SupervisedMatrix {
-        let jobs: Vec<(String, PolicyKind)> = WorkloadSpec::BENCHMARKS
-            .iter()
-            .flat_map(|b| policies.iter().map(move |&k| ((*b).to_owned(), k)))
+        let jobs: Vec<(String, PolicyKind)> = matrix_jobs(policies)
+            .map(|(benchmark, kind)| (benchmark.to_owned(), kind))
             .collect();
         self.run_jobs_supervised(cfg, sup, &jobs)
     }

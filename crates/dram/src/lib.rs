@@ -48,7 +48,6 @@ pub mod fault;
 pub mod guard;
 pub mod integrity;
 pub mod policy;
-pub mod rank;
 pub mod sim;
 pub mod stats;
 pub mod timing;
