@@ -12,10 +12,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution as _, Zipf};
 use serde::{Deserialize, Serialize};
 
 use crate::record::{Op, TraceRecord};
+use crate::sample::{GapSampler, ZipfSampler};
 
 /// How the generator picks rows.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -102,7 +102,7 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range parameters.
+    /// Panics on out-of-range or non-finite parameters.
     pub fn validate(&self) {
         assert!(
             self.footprint > 0.0 && self.footprint <= 1.0,
@@ -112,9 +112,15 @@ impl WorkloadSpec {
             (0.0..=1.0).contains(&self.read_fraction),
             "read fraction in [0,1]"
         );
-        assert!(self.accesses_per_us > 0.0, "intensity must be positive");
+        assert!(
+            self.accesses_per_us > 0.0 && self.accesses_per_us.is_finite(),
+            "intensity must be positive and finite"
+        );
         if let AccessPattern::Zipf(s) = self.pattern {
-            assert!(s >= 0.0, "zipf exponent must be non-negative");
+            assert!(
+                s >= 0.0 && s.is_finite(),
+                "zipf exponent must be non-negative and finite"
+            );
         }
     }
 }
@@ -177,62 +183,81 @@ impl Workload {
     pub fn records(&self, duration_ms: f64) -> Records {
         let end_cycle = (duration_ms * 1000.0 * CYCLES_PER_US) as u64;
         let mean_gap = CYCLES_PER_US / self.spec.accesses_per_us;
+        let footprint = self.footprint_rows();
+        let rows = match self.spec.pattern {
+            AccessPattern::Zipf(0.0) => RowSampler::Uniform { footprint },
+            AccessPattern::Zipf(s) => RowSampler::Zipf(ZipfSampler::new(footprint, s)),
+            AccessPattern::Sequential => RowSampler::Sequential {
+                footprint,
+                position: 0,
+            },
+        };
         Records {
             rng: StdRng::seed_from_u64(self.seed),
-            spec: self.spec.clone(),
-            footprint: self.footprint_rows(),
+            gap: GapSampler::new(mean_gap),
+            rows,
+            read_fraction: self.spec.read_fraction,
             bank_rows: self.bank_rows,
-            mean_gap,
             cycle: 0,
             end_cycle,
-            seq_position: 0,
         }
     }
 }
 
 /// Iterator over generated trace records (see [`Workload::records`]).
+///
+/// Every per-stream quantity (samplers, footprint, pattern) is resolved
+/// once in [`Workload::records`]; a record costs at most three RNG draws
+/// and two table lookups.
 #[derive(Debug, Clone)]
 pub struct Records {
     rng: StdRng,
-    spec: WorkloadSpec,
-    footprint: u32,
+    gap: GapSampler,
+    rows: RowSampler,
+    read_fraction: f64,
     bank_rows: u32,
-    mean_gap: f64,
     cycle: u64,
     end_cycle: u64,
-    seq_position: u64,
+}
+
+/// Footprint-local row selection, resolved from [`AccessPattern`].
+#[derive(Debug, Clone)]
+enum RowSampler {
+    /// `Zipf(0)`: uniform over the footprint.
+    Uniform { footprint: u32 },
+    /// `Zipf(s)`, `s > 0`.
+    Zipf(ZipfSampler),
+    /// Sweep position, wrapping at the footprint.
+    Sequential { footprint: u32, position: u32 },
 }
 
 impl Iterator for Records {
     type Item = TraceRecord;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceRecord> {
         // Exponential inter-arrival (Poisson arrivals), minimum 1 cycle.
         let u: f64 = self.rng.gen_range(1e-12..1.0);
-        let gap = (-u.ln() * self.mean_gap).ceil().max(1.0) as u64;
-        self.cycle = self.cycle.saturating_add(gap);
+        self.cycle = self.cycle.saturating_add(self.gap.sample(u));
         if self.cycle >= self.end_cycle {
             return None;
         }
-        let row_in_footprint = match self.spec.pattern {
-            AccessPattern::Zipf(s) => {
-                if s == 0.0 {
-                    self.rng.gen_range(0..self.footprint)
-                } else {
-                    let z = Zipf::new(self.footprint as u64, s).expect("validated");
-                    (z.sample(&mut self.rng) as u64 - 1) as u32
-                }
-            }
-            AccessPattern::Sequential => {
-                let r = (self.seq_position % self.footprint as u64) as u32;
-                self.seq_position += 1;
+        let row_in_footprint = match &mut self.rows {
+            RowSampler::Uniform { footprint } => self.rng.gen_range(0..*footprint),
+            RowSampler::Zipf(zipf) => zipf.sample(self.rng.gen()) - 1,
+            RowSampler::Sequential {
+                footprint,
+                position,
+            } => {
+                let r = *position;
+                *position = if r + 1 == *footprint { 0 } else { r + 1 };
                 r
             }
         };
         // Spread the footprint across the bank deterministically so
         // different footprints do not all collide on row 0..N.
         let row = spread_row(row_in_footprint, self.bank_rows);
-        let op = if self.rng.gen_bool(self.spec.read_fraction) {
+        let op = if self.rng.gen_bool(self.read_fraction) {
             Op::Read
         } else {
             Op::Write
@@ -255,6 +280,7 @@ fn spread_row(index: u32, bank_rows: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use std::collections::HashSet;
 
     fn gen(name: &str) -> Vec<TraceRecord> {
@@ -349,5 +375,154 @@ mod tests {
         let rows = 1024;
         let distinct: HashSet<u32> = (0..rows).map(|i| spread_row(i, rows)).collect();
         assert_eq!(distinct.len(), rows as usize);
+    }
+
+    fn spec(footprint: f64, pattern: AccessPattern, accesses_per_us: f64) -> WorkloadSpec {
+        WorkloadSpec {
+            name: "custom".into(),
+            footprint,
+            pattern,
+            read_fraction: 0.5,
+            accesses_per_us,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zipf exponent must be non-negative and finite")]
+    fn infinite_zipf_exponent_is_rejected() {
+        spec(0.5, AccessPattern::Zipf(f64::INFINITY), 1.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "intensity must be positive and finite")]
+    fn infinite_intensity_is_rejected() {
+        spec(0.5, AccessPattern::Sequential, f64::INFINITY).validate();
+    }
+
+    /// The generator as it was before its samplers were table-driven,
+    /// expression for expression: one `ln` per gap and, for Zipf
+    /// patterns, the continuous inverse CDF evaluated per record.
+    fn reference(
+        spec: &WorkloadSpec,
+        bank_rows: u32,
+        seed: u64,
+        duration_ms: f64,
+    ) -> Vec<TraceRecord> {
+        let workload = Workload::new(spec.clone(), bank_rows, seed);
+        let footprint = workload.footprint_rows();
+        let end_cycle = (duration_ms * 1000.0 * CYCLES_PER_US) as u64;
+        let mean_gap = CYCLES_PER_US / spec.accesses_per_us;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut cycle, mut seq_position) = (0u64, 0u64);
+        let mut out = Vec::new();
+        loop {
+            let u: f64 = rng.gen_range(1e-12..1.0);
+            let gap = (-u.ln() * mean_gap).ceil().max(1.0) as u64;
+            cycle = cycle.saturating_add(gap);
+            if cycle >= end_cycle {
+                return out;
+            }
+            let row_in_footprint = match spec.pattern {
+                AccessPattern::Zipf(s) => {
+                    if s == 0.0 {
+                        rng.gen_range(0..footprint)
+                    } else {
+                        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                        let n = footprint as f64;
+                        let hi = n + 1.0;
+                        let x = if (s - 1.0).abs() < 1e-9 {
+                            hi.powf(u)
+                        } else {
+                            let e = 1.0 - s;
+                            (1.0 + u * (hi.powf(e) - 1.0)).powf(1.0 / e)
+                        };
+                        (x.floor().clamp(1.0, n) as u64 - 1) as u32
+                    }
+                }
+                AccessPattern::Sequential => {
+                    let r = (seq_position % footprint as u64) as u32;
+                    seq_position += 1;
+                    r
+                }
+            };
+            let row = spread_row(row_in_footprint, bank_rows);
+            let op = if rng.gen_bool(spec.read_fraction) {
+                Op::Read
+            } else {
+                Op::Write
+            };
+            out.push(TraceRecord::new(cycle, op, row));
+        }
+    }
+
+    fn assert_matches_reference(
+        spec: &WorkloadSpec,
+        bank_rows: u32,
+        seed: u64,
+        duration_ms: f64,
+    ) -> usize {
+        let expected = reference(spec, bank_rows, seed, duration_ms);
+        let actual: Vec<TraceRecord> = Workload::new(spec.clone(), bank_rows, seed)
+            .records(duration_ms)
+            .collect();
+        if let Some(i) = (0..expected.len().min(actual.len())).find(|&i| expected[i] != actual[i]) {
+            panic!(
+                "{} rows={bank_rows} seed={seed}: record {i} is {:?}, reference {:?}",
+                spec.name, actual[i], expected[i]
+            );
+        }
+        assert_eq!(
+            actual.len(),
+            expected.len(),
+            "{} rows={bank_rows} seed={seed}",
+            spec.name
+        );
+        actual.len()
+    }
+
+    #[test]
+    fn custom_specs_match_the_reference_generator() {
+        let patterns = [
+            AccessPattern::Zipf(0.0),
+            AccessPattern::Zipf(0.3),
+            AccessPattern::Zipf(1.0),
+            AccessPattern::Zipf(1.0 + 1e-9),
+            AccessPattern::Zipf(1.0 - 1e-6),
+            AccessPattern::Zipf(1.2),
+            AccessPattern::Zipf(2.5),
+            AccessPattern::Sequential,
+        ];
+        for pattern in patterns {
+            for (footprint, rows) in [
+                (1.0, 1),
+                (0.001, 1000),
+                (0.5, 512),
+                (1.0, 8192),
+                (1.0, 9000),
+            ] {
+                for accesses_per_us in [0.05, 3.0, 5000.0] {
+                    let spec = spec(footprint, pattern, accesses_per_us);
+                    assert_matches_reference(&spec, rows, 11, 0.5);
+                }
+            }
+        }
+    }
+
+    /// Every preset × 8 seeds × 4 geometries, over 1e8 records, against
+    /// the reference generator. Run with
+    /// `cargo test --release -p vrl-trace -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive: about 1e8 records, run in release"]
+    fn exhaustive_identity_with_the_reference_generator() {
+        let seeds = [1, 7, 42, 1234, 2024, 31337, 90210, 0xDEAD_BEEF];
+        let mut records = 0;
+        for seed in seeds {
+            for rows in [8192, 512, 256, 1000] {
+                for spec in WorkloadSpec::all_parsec() {
+                    records += assert_matches_reference(&spec, rows, seed, 64.0);
+                }
+            }
+        }
+        assert!(records >= 100_000_000, "only {records} records compared");
     }
 }

@@ -12,7 +12,8 @@
 //!   to bank-local records,
 //! * [`gen`] — parameterized workload generators, with one preset per
 //!   PARSEC benchmark plus `bgsave`, emulating each benchmark's published
-//!   footprint, locality, read/write mix, and intensity,
+//!   footprint, locality, read/write mix, and intensity; its gap and
+//!   Zipf-rank samplers are exact table lookups (crate-private `sample`),
 //! * [`stats`] — trace statistics (rows touched, reuse, per-window
 //!   coverage) that determine how much VRL-Access can gain.
 //!
@@ -34,6 +35,7 @@ pub mod format;
 pub mod gen;
 pub mod ramulator;
 pub mod record;
+mod sample;
 pub mod stats;
 
 pub use gen::{Workload, WorkloadSpec};
