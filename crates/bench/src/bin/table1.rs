@@ -12,8 +12,7 @@
 //!
 //! The transient netlist instantiates a victim-centred window of
 //! bitlines (9 for 32-column, 17 for 128-column geometries); coupling
-//! beyond a few neighbors is negligible and the dense solver stays
-//! tractable.
+//! beyond a few neighbors is negligible.
 
 use serde::Serialize;
 

@@ -116,8 +116,8 @@ pub struct PresensingRow {
 ///
 /// `spice_columns` bounds the number of bitlines actually instantiated in
 /// the transient netlist (the victim sits in the middle); coupling beyond
-/// a few neighbors is negligible, and the bound keeps the dense solver
-/// tractable. Pass `geometry.cols` to simulate the full wordline.
+/// a few neighbors is negligible. Pass `geometry.cols` to simulate the
+/// full wordline.
 ///
 /// # Errors
 ///

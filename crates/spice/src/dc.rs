@@ -3,20 +3,18 @@
 //! Solves the static circuit (capacitors open, sources at their `t = 0`
 //! values) by Newton–Raphson iteration — the `.OP` of a classic SPICE.
 
-// Index-based loops are the natural idiom for the dense matrix math here.
-#![allow(clippy::needless_range_loop)]
-
 use crate::error::SpiceError;
-use crate::linalg::lu_factorize;
 use crate::mna;
 use crate::netlist::{Circuit, Node};
+use crate::newton::{self, Damping};
+use crate::sparse::SparseSystem;
 
-/// Maximum Newton iterations for the operating point.
-const MAX_NEWTON: usize = 200;
-/// Convergence tolerance on node voltages (volts).
-const VTOL: f64 = 1e-9;
-/// Per-iteration update clamp (volts).
-const VSTEP_LIMIT: f64 = 0.5;
+/// Newton budget and per-iteration update clamp (volts) for the operating
+/// point.
+const DAMPING: Damping = Damping {
+    max_iterations: 200,
+    vstep_limit: 0.5,
+};
 
 /// A solved DC operating point.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,41 +63,19 @@ impl DcSolution {
 /// [`SpiceError::NoConvergence`] if Newton iteration fails.
 pub fn operating_point(circuit: &Circuit) -> Result<DcSolution, SpiceError> {
     let n_nodes = circuit.node_count() - 1;
-    let n = n_nodes + circuit.voltage_source_count();
+    let n = mna::unknowns(circuit);
     let mut x = vec![0.0; n];
-    for i in 0..n_nodes {
-        x[i] = circuit.initial_voltage(Node(i + 1));
+    for (i, xi) in x[..n_nodes].iter_mut().enumerate() {
+        *xi = circuit.initial_voltage(Node(i + 1));
     }
     // Open capacitors: huge dt makes their companion conductance vanish.
     let dt = 1e12;
     let v_prev: Vec<f64> = x[..n_nodes].to_vec();
-    let mut last_residual = f64::INFINITY;
-    for _ in 0..MAX_NEWTON {
-        let sys = mna::assemble(circuit, &x, &v_prev, 0.0, dt);
-        let factors = lu_factorize(sys.a).ok_or(SpiceError::SingularMatrix { time: 0.0 })?;
-        let mut x_new = sys.z;
-        factors.solve_in_place(&mut x_new);
-        let mut max_delta: f64 = 0.0;
-        for i in 0..n {
-            let mut delta = x_new[i] - x[i];
-            if i < n_nodes {
-                delta = delta.clamp(-VSTEP_LIMIT, VSTEP_LIMIT);
-                max_delta = max_delta.max(delta.abs());
-            }
-            x[i] += delta;
-        }
-        last_residual = max_delta;
-        if max_delta < VTOL {
-            return Ok(DcSolution {
-                node_count: n_nodes,
-                x,
-            });
-        }
-    }
-    Err(SpiceError::NoConvergence {
-        time: 0.0,
-        iterations: MAX_NEWTON,
-        residual: last_residual,
+    let mut sys = SparseSystem::new(n);
+    newton::solve(circuit, &mut sys, &mut x, &v_prev, 0.0, dt, DAMPING)?;
+    Ok(DcSolution {
+        node_count: n_nodes,
+        x,
     })
 }
 

@@ -9,7 +9,9 @@
 //!   and current sources, and level-1 (Shichman–Hodges) MOSFETs,
 //! * Newton–Raphson iteration with backward-Euler integration
 //!   ([`transient`]),
-//! * dense LU factorization with partial pivoting ([`linalg`]),
+//! * an exact sparse LU ([`sparse`]) that replays a compiled elimination
+//!   plan and matches the dense partial-pivoting LU of [`linalg`] bit for
+//!   bit,
 //! * waveform capture and measurement helpers ([`waveform`]),
 //! * prebuilt netlists for the DRAM circuits of the paper's Figure 2
 //!   ([`circuits`]).
@@ -53,6 +55,8 @@ pub mod mna;
 pub mod mosfet;
 pub mod netlist;
 pub mod netlist_io;
+mod newton;
+pub mod sparse;
 pub mod transient;
 pub mod waveform;
 

@@ -1,8 +1,10 @@
-//! Dense linear algebra: LU factorization with partial pivoting.
+//! Dense linear algebra: LU factorization with partial pivoting, and the
+//! tridiagonal solver behind the coupled-bitline model.
 //!
-//! The circuits simulated in this workspace have at most a few hundred
-//! unknowns, so a dense solver is both simpler and faster than a sparse one
-//! at this scale.
+//! The simulator itself factorizes with [`crate::sparse`], which makes
+//! exactly the dense routine's pivot choices and arithmetic. The dense
+//! [`Matrix`] and [`lu_factorize`] here are the reference it is tested
+//! against, bit for bit.
 
 // Index-based loops are the natural idiom for the dense matrix math here.
 #![allow(clippy::needless_range_loop)]
@@ -79,6 +81,16 @@ impl Matrix {
     }
 }
 
+/// Pivot magnitude below which a matrix counts as singular.
+pub(crate) const MIN_PIVOT: f64 = 1e-300;
+
+/// A factorization met a pivot smaller than `1e-300` in magnitude.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Singular {
+    /// Elimination step (column) at which the pivot search failed.
+    pub step: usize,
+}
+
 /// An in-place LU factorization `PA = LU` with partial pivoting.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
@@ -88,9 +100,11 @@ pub struct LuFactors {
 
 /// Factorizes `a` (consumed) into `PA = LU`.
 ///
-/// Returns `None` if the matrix is numerically singular (a pivot smaller
+/// # Errors
+///
+/// [`Singular`] if the matrix is numerically singular (a pivot smaller
 /// than `1e-300` in magnitude was encountered).
-pub fn lu_factorize(mut a: Matrix) -> Option<LuFactors> {
+pub fn lu_factorize(mut a: Matrix) -> Result<LuFactors, Singular> {
     let n = a.dim();
     let mut pivots = vec![0usize; n];
     for k in 0..n {
@@ -104,8 +118,8 @@ pub fn lu_factorize(mut a: Matrix) -> Option<LuFactors> {
                 p = i;
             }
         }
-        if max < 1e-300 {
-            return None;
+        if max < MIN_PIVOT {
+            return Err(Singular { step: k });
         }
         pivots[k] = p;
         if p != k {
@@ -127,7 +141,7 @@ pub fn lu_factorize(mut a: Matrix) -> Option<LuFactors> {
             }
         }
     }
-    Some(LuFactors { lu: a, pivots })
+    Ok(LuFactors { lu: a, pivots })
 }
 
 impl LuFactors {
@@ -267,7 +281,7 @@ mod tests {
     #[test]
     fn lu_detects_singular() {
         let m = mat(2, &[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(lu_factorize(m).is_none());
+        assert_eq!(lu_factorize(m).unwrap_err(), Singular { step: 1 });
     }
 
     #[test]

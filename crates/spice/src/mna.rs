@@ -6,21 +6,12 @@
 //! current source evaluated at the previous Newton iterate.
 
 use crate::elements::Element;
-use crate::linalg::Matrix;
 use crate::netlist::{Circuit, Node};
+use crate::sparse::SparseSystem;
 
 /// Minimum conductance from every node to ground, for convergence and to
 /// keep otherwise-floating nodes (e.g. a cut-off MOSFET drain) solvable.
 pub const GMIN: f64 = 1e-12;
-
-/// Assembled linear system `A x = z` for one Newton iteration.
-#[derive(Debug, Clone)]
-pub struct MnaSystem {
-    /// System matrix.
-    pub a: Matrix,
-    /// Right-hand side.
-    pub z: Vec<f64>,
-}
 
 /// Returns the unknown-vector index for a node, or `None` for ground.
 #[inline]
@@ -43,63 +34,78 @@ pub fn node_voltage(x: &[f64], node: Node) -> f64 {
 }
 
 /// Stamps a conductance `g` between nodes `a` and `b`.
-fn stamp_conductance(m: &mut MnaSystem, a: Node, b: Node, g: f64) {
+fn stamp_conductance(m: &mut SparseSystem, a: Node, b: Node, g: f64) {
     if let Some(i) = unk(a) {
-        m.a.add(i, i, g);
+        m.add(i, i, g);
         if let Some(j) = unk(b) {
-            m.a.add(i, j, -g);
+            m.add(i, j, -g);
         }
     }
     if let Some(j) = unk(b) {
-        m.a.add(j, j, g);
+        m.add(j, j, g);
         if let Some(i) = unk(a) {
-            m.a.add(j, i, -g);
+            m.add(j, i, -g);
         }
     }
 }
 
 /// Stamps a current `i_amps` flowing *into* node `into` and out of
 /// `out_of`.
-fn stamp_current(m: &mut MnaSystem, into: Node, out_of: Node, i_amps: f64) {
+fn stamp_current(m: &mut SparseSystem, into: Node, out_of: Node, i_amps: f64) {
     if let Some(i) = unk(into) {
-        m.z[i] += i_amps;
+        m.rhs_mut()[i] += i_amps;
     }
     if let Some(j) = unk(out_of) {
-        m.z[j] -= i_amps;
+        m.rhs_mut()[j] -= i_amps;
     }
 }
 
-/// Builds the MNA system for one Newton iteration.
+/// Number of unknowns of a circuit's MNA system: node voltages (ground
+/// excluded) then voltage-source branch currents.
+pub fn unknowns(circuit: &Circuit) -> usize {
+    circuit.node_count() - 1 + circuit.voltage_source_count()
+}
+
+/// Stamps the MNA system for one Newton iteration into `m`, which is
+/// cleared first.
 ///
 /// * `x` — current Newton iterate (node voltages then source currents).
 /// * `v_prev` — node voltages at the previous accepted *time point* (for
 ///   capacitor companion models).
 /// * `time` — the time point being solved (sources are evaluated here).
 /// * `dt` — the backward-Euler step size.
-pub fn assemble(circuit: &Circuit, x: &[f64], v_prev: &[f64], time: f64, dt: f64) -> MnaSystem {
+///
+/// # Panics
+///
+/// Panics if `m` does not have [`unknowns`]`(circuit)` rows.
+pub fn assemble(
+    circuit: &Circuit,
+    x: &[f64],
+    v_prev: &[f64],
+    time: f64,
+    dt: f64,
+    m: &mut SparseSystem,
+) {
     let n_nodes = circuit.node_count() - 1;
-    let n = n_nodes + circuit.voltage_source_count();
-    let mut m = MnaSystem {
-        a: Matrix::zeros(n),
-        z: vec![0.0; n],
-    };
+    assert_eq!(m.dim(), unknowns(circuit), "system size mismatch");
+    m.clear();
 
     // GMIN from every node to ground.
     for i in 0..n_nodes {
-        m.a.add(i, i, GMIN);
+        m.add(i, i, GMIN);
     }
 
     for element in circuit.elements() {
         match element {
             Element::Resistor { a, b, ohms } => {
-                stamp_conductance(&mut m, *a, *b, 1.0 / ohms);
+                stamp_conductance(m, *a, *b, 1.0 / ohms);
             }
             Element::Capacitor { a, b, farads } => {
                 // Backward Euler companion: geq = C/dt, ieq = geq * v_prev.
                 let geq = farads / dt;
                 let vprev = node_voltage(v_prev, *a) - node_voltage(v_prev, *b);
-                stamp_conductance(&mut m, *a, *b, geq);
-                stamp_current(&mut m, *a, *b, geq * vprev);
+                stamp_conductance(m, *a, *b, geq);
+                stamp_current(m, *a, *b, geq * vprev);
             }
             Element::VoltageSource {
                 pos,
@@ -109,17 +115,17 @@ pub fn assemble(circuit: &Circuit, x: &[f64], v_prev: &[f64], time: f64, dt: f64
             } => {
                 let row = n_nodes + branch;
                 if let Some(i) = unk(*pos) {
-                    m.a.add(i, row, 1.0);
-                    m.a.add(row, i, 1.0);
+                    m.add(i, row, 1.0);
+                    m.add(row, i, 1.0);
                 }
                 if let Some(j) = unk(*neg) {
-                    m.a.add(j, row, -1.0);
-                    m.a.add(row, j, -1.0);
+                    m.add(j, row, -1.0);
+                    m.add(row, j, -1.0);
                 }
-                m.z[row] += wave.value_at(time);
+                m.rhs_mut()[row] += wave.value_at(time);
             }
             Element::CurrentSource { into, out_of, wave } => {
-                stamp_current(&mut m, *into, *out_of, wave.value_at(time));
+                stamp_current(m, *into, *out_of, wave.value_at(time));
             }
             Element::Mosfet {
                 drain,
@@ -127,11 +133,10 @@ pub fn assemble(circuit: &Circuit, x: &[f64], v_prev: &[f64], time: f64, dt: f64
                 source,
                 params,
             } => {
-                stamp_mosfet(&mut m, x, *drain, *gate, *source, params);
+                stamp_mosfet(m, x, *drain, *gate, *source, params);
             }
         }
     }
-    m
 }
 
 /// Stamps a MOSFET's Newton companion model at iterate `x`.
@@ -144,7 +149,7 @@ pub fn assemble(circuit: &Circuit, x: &[f64], v_prev: &[f64], time: f64, dt: f64
 /// * VCCS `gm` from (gate − source) into the drain,
 /// * residual current `ids − gm·vgs − gds·vds` into the drain.
 fn stamp_mosfet(
-    m: &mut MnaSystem,
+    m: &mut SparseSystem,
     x: &[f64],
     drain: Node,
     gate: Node,
@@ -193,17 +198,17 @@ fn stamp_mosfet(
     // VCCS: current gm*(vg - vs) into d, out of s.
     if let Some(di) = unk(d) {
         if let Some(g) = unk(gate) {
-            m.a.add(di, g, gm);
+            m.add(di, g, gm);
         }
         if let Some(si) = unk(s) {
-            m.a.add(di, si, -gm);
+            m.add(di, si, -gm);
         }
     }
     if let Some(si) = unk(s) {
         if let Some(g) = unk(gate) {
-            m.a.add(si, g, -gm);
+            m.add(si, g, -gm);
         }
-        m.a.add(si, si, gm);
+        m.add(si, si, gm);
     }
     // Residual current flows d → s inside the device, i.e. it *leaves* node
     // d and *enters* node s from the external circuit's point of view.
@@ -214,19 +219,17 @@ fn stamp_mosfet(
 mod tests {
     use super::*;
     use crate::elements::SourceWave;
-    use crate::linalg::lu_factorize;
     use crate::mosfet::MosParams;
 
     /// Solve one static system (dt huge so capacitors vanish).
     fn solve_static(circuit: &Circuit) -> Vec<f64> {
-        let n = circuit.node_count() - 1 + circuit.voltage_source_count();
+        let n = unknowns(circuit);
         let mut x = vec![0.0; n];
+        let mut sys = SparseSystem::new(n);
         // A few Newton iterations for nonlinear content.
         for _ in 0..50 {
-            let sys = assemble(circuit, &x, &x, 0.0, 1e9);
-            let f = lu_factorize(sys.a).expect("nonsingular");
-            let mut b = sys.z;
-            f.solve_in_place(&mut b);
+            assemble(circuit, &x, &x, 0.0, 1e9, &mut sys);
+            let b = sys.solve().expect("nonsingular").to_vec();
             let delta: f64 = x
                 .iter()
                 .zip(&b)

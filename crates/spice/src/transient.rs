@@ -1,21 +1,19 @@
 //! Backward-Euler transient analysis with Newton–Raphson iteration.
 
-// Index-based loops are the natural idiom for the dense matrix math here.
-#![allow(clippy::needless_range_loop)]
-
 use crate::error::SpiceError;
-use crate::linalg::lu_factorize;
 use crate::mna;
 use crate::netlist::{Circuit, Node};
+use crate::newton::{self, Damping};
+use crate::sparse::SparseSystem;
 use crate::waveform::Waveform;
 
-/// Maximum Newton iterations per time step.
-const MAX_NEWTON: usize = 100;
-/// Absolute voltage convergence tolerance (volts).
-const VTOL: f64 = 1e-9;
-/// Per-iteration voltage update clamp (volts), for damping regenerative
-/// circuits such as the latch sense amplifier.
-const VSTEP_LIMIT: f64 = 0.3;
+/// Newton budget and per-iteration voltage update clamp (volts) per time
+/// step; the clamp damps regenerative circuits such as the latch sense
+/// amplifier.
+const DAMPING: Damping = Damping {
+    max_iterations: 100,
+    vstep_limit: 0.3,
+};
 
 /// Transient analysis specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,65 +84,50 @@ impl TransientResult {
 /// Runs the analysis (used via [`Circuit::run_transient`]).
 pub(crate) fn run(circuit: &Circuit, spec: TransientSpec) -> Result<TransientResult, SpiceError> {
     spec.validate()?;
+    let invalid = || SpiceError::InvalidTransientSpec {
+        step: spec.step,
+        stop: spec.stop,
+    };
     let n_nodes = circuit.node_count() - 1;
-    let n = n_nodes + circuit.voltage_source_count();
+    let n = mna::unknowns(circuit);
+
+    // Reserve every sample up front, failing cleanly when the spec asks
+    // for more than the address space or the allocator can give. The
+    // float-to-integer cast saturates, so the additions must be checked.
+    let steps = (spec.stop / spec.step).round() as usize;
+    let samples = steps.checked_add(1).ok_or_else(invalid)?;
+    let reserve = || -> Result<Vec<f64>, SpiceError> {
+        let mut column = Vec::new();
+        column.try_reserve_exact(samples).map_err(|_| invalid())?;
+        Ok(column)
+    };
+    let mut times = reserve()?;
+    let mut voltages = (0..n_nodes)
+        .map(|_| reserve())
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Initial state from the user-provided initial conditions.
     let mut x = vec![0.0; n];
-    for i in 0..n_nodes {
-        x[i] = circuit.initial_voltage(Node(i + 1));
+    for (i, xi) in x[..n_nodes].iter_mut().enumerate() {
+        *xi = circuit.initial_voltage(Node(i + 1));
     }
-
-    let steps = (spec.stop / spec.step).round() as usize;
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut voltages = vec![Vec::with_capacity(steps + 1); n_nodes];
     times.push(0.0);
-    for (i, column) in voltages.iter_mut().enumerate() {
-        column.push(x[i]);
+    for (column, &v) in voltages.iter_mut().zip(&x) {
+        column.push(v);
     }
 
     let mut total_newton = 0usize;
-    let v_prev_len = n_nodes;
-    let mut v_prev: Vec<f64> = x[..v_prev_len].to_vec();
+    let mut v_prev: Vec<f64> = x[..n_nodes].to_vec();
+    let mut sys = SparseSystem::new(n);
 
     for step_idx in 1..=steps {
         let t = step_idx as f64 * spec.step;
         // Newton iteration at this time point, warm-started from x.
-        let mut converged = false;
-        let mut last_residual = f64::INFINITY;
-        for _iter in 0..MAX_NEWTON {
-            total_newton += 1;
-            let sys = mna::assemble(circuit, &x, &v_prev, t, spec.step);
-            let factors = lu_factorize(sys.a).ok_or(SpiceError::SingularMatrix { time: t })?;
-            let mut x_new = sys.z;
-            factors.solve_in_place(&mut x_new);
-            // Damped update on node voltages only.
-            let mut max_delta: f64 = 0.0;
-            for i in 0..n {
-                let mut delta = x_new[i] - x[i];
-                if i < n_nodes {
-                    delta = delta.clamp(-VSTEP_LIMIT, VSTEP_LIMIT);
-                    max_delta = max_delta.max(delta.abs());
-                }
-                x[i] += delta;
-            }
-            last_residual = max_delta;
-            if max_delta < VTOL {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(SpiceError::NoConvergence {
-                time: t,
-                iterations: MAX_NEWTON,
-                residual: last_residual,
-            });
-        }
-        v_prev.copy_from_slice(&x[..v_prev_len]);
+        total_newton += newton::solve(circuit, &mut sys, &mut x, &v_prev, t, spec.step, DAMPING)?;
+        v_prev.copy_from_slice(&x[..n_nodes]);
         times.push(t);
-        for (i, column) in voltages.iter_mut().enumerate() {
-            column.push(x[i]);
+        for (column, &v) in voltages.iter_mut().zip(&x) {
+            column.push(v);
         }
     }
 
@@ -226,6 +209,30 @@ mod tests {
         let err = c.run_transient(TransientSpec::new(-1.0, 1.0)).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidTransientSpec { .. }));
         let err = c.run_transient(TransientSpec::new(2.0, 1.0)).unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidTransientSpec { .. }));
+    }
+
+    #[test]
+    fn unaffordable_sample_count_is_an_error() {
+        // 1e10 samples for each of 4096 nodes: the reservations together
+        // exceed any address space, whatever the host's overcommit policy,
+        // so the run must fail before it starts.
+        let mut c = Circuit::new();
+        for i in 0..4096 {
+            let n = c.node(&format!("n{i}"));
+            c.add_resistor(n, Circuit::GROUND, 1e3);
+        }
+        let err = c.run_transient(TransientSpec::new(1e-10, 1.0)).unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidTransientSpec { .. }));
+    }
+
+    #[test]
+    fn step_count_overflow_is_an_error() {
+        // 1e20 steps saturate the cast, and the sample count overflows.
+        let mut c = Circuit::new();
+        let n = c.node("n");
+        c.add_resistor(n, Circuit::GROUND, 1e3);
+        let err = c.run_transient(TransientSpec::new(1e-20, 1.0)).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidTransientSpec { .. }));
     }
 
