@@ -358,8 +358,11 @@ impl Experiment {
 
     /// The ground-truth charge checker over the given row retentions.
     fn integrity_checker(&self, retention_ms: Vec<f64>) -> IntegrityChecker<ModelPhysics> {
-        let physics = ModelPhysics::new(&self.model);
-        IntegrityChecker::new(physics, TimingParams::paper_default(), retention_ms)
+        IntegrityChecker::new(
+            ModelPhysics::n90(),
+            TimingParams::paper_default(),
+            retention_ms,
+        )
     }
 
     /// The Figure 4 comparison for one benchmark.
@@ -783,11 +786,27 @@ impl Experiment {
         guard: Option<&GuardConfig>,
     ) -> Result<FaultedOutcome, Error> {
         let trace = self.trace(benchmark)?;
+        Ok(self.run_faulted_with(kind, trace, faults, guard))
+    }
+
+    /// [`Experiment::run_faulted`] over an explicit trace — `vrl-serve`
+    /// feeds it a cached, materialized trace; bit-identical to
+    /// streaming generation.
+    pub fn run_faulted_with<I>(
+        &self,
+        kind: PolicyKind,
+        trace: I,
+        faults: &FaultConfig,
+        guard: Option<&GuardConfig>,
+    ) -> FaultedOutcome
+    where
+        I: Iterator<Item = TraceRecord>,
+    {
         let profiled = self.profiled_retention();
         let injector = FaultInjector::new(*faults, &profiled, TimingParams::paper_default());
-        Ok(with_policy!(kind, self.plan, |p| {
+        with_policy!(kind, self.plan, |p| {
             self.faulted_run(p, trace, injector, guard)
-        }))
+        })
     }
 
     fn faulted_run<P, I>(
@@ -806,9 +825,8 @@ impl Experiment {
         let mut sim = Simulator::new(SimConfig::with_rows(self.config.rows), policy);
         sim.set_fault_injector(injector);
         let (stats, violations, guard) = if let Some(cfg) = guard_cfg {
-            let physics = ModelPhysics::new(&self.model);
             let timing = TimingParams::paper_default();
-            let mut guard = Guard::new(physics, timing, true_retention, *cfg);
+            let mut guard = Guard::new(ModelPhysics::n90(), timing, true_retention, *cfg);
             let stats = sim.run_guarded(trace, d, &mut guard);
             (stats, 0, Some(guard.stats()))
         } else {
@@ -1170,6 +1188,21 @@ mod tests {
         assert_eq!(out.violations, 0);
         assert_eq!(guard.uncorrected, 0, "guard must not lose data: {guard:?}");
         assert!(out.stats.scrub_accesses > 0);
+    }
+
+    #[test]
+    fn faulted_runs_over_a_materialized_trace_are_bit_identical() {
+        let e = small();
+        let faults = FaultConfig::default_scenario(7);
+        let guard = GuardConfig::default();
+        for guard in [None, Some(&guard)] {
+            let streamed = e
+                .run_faulted(PolicyKind::Vrl, "ferret", &faults, guard)
+                .expect("known");
+            let trace = e.materialize_trace("ferret").expect("known");
+            let replayed = e.run_faulted_with(PolicyKind::Vrl, trace.into_iter(), &faults, guard);
+            assert_eq!(streamed, replayed, "guarded: {}", guard.is_some());
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Adapter: the analytical circuit model as the simulator's charge
 //! physics, so the integrity checker can verify plans end-to-end.
 
+use std::sync::OnceLock;
+
 use vrl_circuit::model::AnalyticalModel;
+use vrl_circuit::tech::Technology;
 use vrl_circuit::trfc::RefreshKind;
 use vrl_dram_sim::integrity::ChargePhysics;
 use vrl_dram_sim::timing::RefreshLatency;
 
 /// Charge physics backed by the analytical model (transfer functions
 /// pre-sampled for speed).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPhysics {
     full_level: f64,
     threshold: f64,
@@ -41,6 +44,17 @@ impl ModelPhysics {
         }
     }
 
+    /// The physics of [`Technology::n90`], the technology every
+    /// [`Experiment`](crate::experiment::Experiment) models. Sampled on
+    /// first use, at most once per process; each call returns a clone
+    /// (two 512-point tables, about 8 KB), equal to
+    /// `ModelPhysics::new(&AnalyticalModel::new(Technology::n90()))`.
+    pub fn n90() -> Self {
+        static N90: OnceLock<ModelPhysics> = OnceLock::new();
+        N90.get_or_init(|| ModelPhysics::new(&AnalyticalModel::new(Technology::n90())))
+            .clone()
+    }
+
     fn interp(&self, lut: &[f64], start: f64) -> f64 {
         let x = (start.clamp(self.lo, 1.0) - self.lo) / (1.0 - self.lo) * (LUT_POINTS - 1) as f64;
         let i = (x as usize).min(LUT_POINTS - 2);
@@ -69,10 +83,18 @@ impl ChargePhysics for ModelPhysics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vrl_circuit::tech::Technology;
 
     fn physics() -> ModelPhysics {
         ModelPhysics::new(&AnalyticalModel::new(Technology::n90()))
+    }
+
+    #[test]
+    fn shared_n90_physics_equals_a_fresh_sample() {
+        // Equality covers both LUTs, sample by sample.
+        let fresh = physics();
+        assert_eq!(ModelPhysics::n90(), fresh);
+        // Later calls clone the one memoized sample.
+        assert_eq!(ModelPhysics::n90(), fresh);
     }
 
     #[test]

@@ -183,18 +183,22 @@ where
             Outcome::Sched(merged)
         }
         FrontEnd::Faulted { fault_seed, guard } => {
-            // The fault injector owns its trace walk and has no span
-            // seam; faulted jobs run unsegmented (no progress frames)
-            // and bypass the trace cache.
+            // Faulted jobs replay the cached trace like every other
+            // front end, but the fault injector has no span seam: they
+            // run unsegmented (no progress frames).
+            let trace = {
+                let _span = profiler.span(PHASE_ARTIFACT_BUILD);
+                cache.trace(&experiment, &spec.benchmark)?
+            };
             let faults = FaultConfig::default_scenario(fault_seed);
             let guard_config = guard.then(GuardConfig::default);
             let _span = profiler.span(PHASE_RUN);
-            Outcome::Faulted(experiment.run_faulted(
+            Outcome::Faulted(experiment.run_faulted_with(
                 spec.policy,
-                &spec.benchmark,
+                trace.iter().copied(),
                 &faults,
                 guard_config.as_ref(),
-            )?)
+            ))
         }
     };
     let _span = profiler.span(PHASE_SERIALIZE);

@@ -20,8 +20,8 @@
 //! it guards are consistent at every panic point).
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -63,6 +63,31 @@ const PHASE_BOUNDS_US: [u64; 14] = [
 
 /// How long a subscriber drain loop parks before re-checking liveness.
 const SUBSCRIBE_POLL: Duration = Duration::from_millis(100);
+
+/// How long [`linger_close`] keeps discarding a rejected peer's input.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Closes a connection whose input is still arriving without resetting
+/// it. Dropping a socket with unread bytes sends an RST, which fails
+/// the peer's pending write before it can read the reject frame just
+/// sent. Instead, shut the write half (the peer reads the frame, then
+/// EOF) and discard input until the peer stops sending or [`LINGER`]
+/// runs out.
+fn linger_close(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
+}
 
 /// Locks with poisoned-lock recovery: every mutex in this module guards
 /// state that is consistent at any panic point (plain maps, rings), so
@@ -661,6 +686,7 @@ impl ServerInner {
                             &format!("request line exceeds {} bytes", self.limits.max_line_bytes),
                         ),
                     );
+                    linger_close(&mut writer);
                     break;
                 }
                 LineOutcome::TimedOut => {

@@ -221,10 +221,21 @@ fn retry_rides_out_a_faulty_connection_and_gets_exact_bytes() {
     server.shutdown(true);
 }
 
+/// The `JobShed` events a server has emitted.
+fn shed_events(server: &Server) -> usize {
+    server
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::JobShed { .. }))
+        .count()
+}
+
 #[test]
 fn admission_control_sheds_with_typed_frames_and_counts_every_shed() {
     // Queue admission: a zero-length queue budget rejects every submit
-    // as `busy` while leaving the connection healthy.
+    // as `busy` while leaving the connection healthy. The read timeout
+    // is off on this server, so a slow scheduler cannot shed these
+    // legs as idle; the idle leg gets a server of its own below.
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -233,7 +244,7 @@ fn admission_control_sheds_with_typed_frames_and_counts_every_shed() {
             limits: ServeLimits {
                 max_queued_jobs: 0,
                 max_line_bytes: 4096,
-                read_timeout_ms: 400,
+                read_timeout_ms: 0,
                 ..ServeLimits::default()
             },
             ..ServerConfig::default()
@@ -267,9 +278,9 @@ fn admission_control_sheds_with_typed_frames_and_counts_every_shed() {
         }
         Err(e) => panic!("expected a line_too_long frame, got {e}"),
     }
-    // The server drops the socket with our unread overflow still
-    // queued, so the close surfaces as either a clean EOF or an RST —
-    // both are "connection gone", which is the point.
+    // The server shuts its write half after the frame and discards our
+    // overflow for a while before closing, so the close surfaces as a
+    // clean EOF — or, once it has closed, as an RST.
     assert!(
         matches!(
             client.ping(),
@@ -278,22 +289,42 @@ fn admission_control_sheds_with_typed_frames_and_counts_every_shed() {
         "the connection must be closed after an overrun"
     );
 
+    let metrics = server.metrics();
+    assert_eq!(metrics.counter("serve.shed.jobs"), 1);
+    assert_eq!(metrics.counter("serve.shed.line_too_long"), 1);
+    assert_eq!(metrics.counter("serve.shed.timeout"), 0);
+    let busy_and_long = shed_events(&server);
+    assert_eq!(
+        busy_and_long, 2,
+        "every shed must surface as a JobShed event"
+    );
+    server.shutdown(true);
+
     // Idle admission: a silent connection is shed with `timeout`.
-    let mut idle = Client::connect(&addr).expect("connect");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            span_cycles: 0,
+            limits: ServeLimits {
+                read_timeout_ms: 400,
+                ..ServeLimits::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut idle = Client::connect(&server.addr().to_string()).expect("connect");
     match idle.recv() {
         Ok(frame) => assert_eq!(protocol::reject_reason(&frame), Some(ShedReason::Timeout)),
         Err(e) => panic!("expected a timeout frame, got {e}"),
     }
 
     let metrics = server.metrics();
-    assert_eq!(metrics.counter("serve.shed.jobs"), 1);
-    assert_eq!(metrics.counter("serve.shed.line_too_long"), 1);
+    assert_eq!(metrics.counter("serve.shed.jobs"), 0);
+    assert_eq!(metrics.counter("serve.shed.line_too_long"), 0);
     assert_eq!(metrics.counter("serve.shed.timeout"), 1);
-    let sheds = server
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::JobShed { .. }))
-        .count();
+    let sheds = busy_and_long + shed_events(&server);
     assert_eq!(sheds, 3, "every shed must surface as a JobShed event");
     server.shutdown(true);
 }
@@ -331,23 +362,20 @@ fn connection_cap_sheds_the_overflow_connection_with_busy() {
 
     assert_eq!(server.metrics().counter("serve.shed.connections"), 1);
 
-    // Closing the first connection frees the slot.
+    // Closing the first connection frees the slot once its handler has
+    // seen the EOF; wait for the open-connection gauge to say so.
     drop(first);
     let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let mut third = Client::connect(&addr).expect("tcp connect succeeds");
-        match third.ping() {
-            Ok(pong) => {
-                assert_eq!(pong, "{\"type\":\"pong\"}");
-                break;
-            }
-            Err(_) => assert!(
-                Instant::now() < deadline,
-                "slot never freed after disconnect"
-            ),
-        }
+    while server.health().conns_open > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "slot never freed after disconnect"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
+    let mut third = Client::connect(&addr).expect("tcp connect succeeds");
+    assert_eq!(third.ping().expect("pong"), "{\"type\":\"pong\"}");
+    assert_eq!(server.metrics().counter("serve.shed.connections"), 1);
     server.shutdown(true);
 }
 

@@ -200,6 +200,43 @@ fn warm_cache_replays_the_result_without_rebuilding() {
 }
 
 #[test]
+fn faulted_jobs_replay_the_trace_a_sim_job_cached() {
+    let server = start(ServerConfig {
+        workers: 1,
+        span_cycles: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let sim = r#"{"benchmark":"ferret","policy":"vrl","rows":128,"duration_ms":48}"#;
+    let faulted = r#"{"benchmark":"ferret","policy":"vrl","front_end":"faulted","fault_seed":3,"guard":false,"rows":128,"duration_ms":48}"#;
+
+    client
+        .submit_raw(&submit_line(sim))
+        .expect("sim submission");
+    let before = server.metrics();
+    assert_eq!(before.counter("serve.cache.trace_misses"), 1);
+
+    let frames = client
+        .submit_raw(&submit_line(faulted))
+        .expect("faulted submission");
+    let direct = runner::direct_result(&spec(faulted)).expect("direct run");
+    assert_eq!(frames.last().expect("terminal frame"), &direct);
+
+    // Same (benchmark, rows, seed, duration): the faulted job read the
+    // sim job's trace instead of generating its own.
+    let after = server.metrics();
+    assert_eq!(
+        after.counter("serve.cache.trace_hits"),
+        before.counter("serve.cache.trace_hits") + 1
+    );
+    assert_eq!(
+        after.counter("serve.cache.trace_misses"),
+        before.counter("serve.cache.trace_misses")
+    );
+    server.shutdown(true);
+}
+
+#[test]
 fn malformed_requests_error_without_killing_the_connection() {
     let server = start(ServerConfig::default());
     let mut client = Client::connect(&server.addr().to_string()).expect("connect");

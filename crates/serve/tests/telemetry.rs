@@ -167,8 +167,11 @@ fn metrics_exposition_is_byte_stable_and_prefix_filterable() {
     // exposition carries no wall-clock values. Wait for true
     // quiescence first: the worker slot frees and the submitter's
     // closed connection is reaped asynchronously after the client has
-    // its result, and both feed live gauges.
+    // its result, and both feed live gauges. The ping round trip pins
+    // this connection as counted, so `conns_open == 1` below means the
+    // submitter's connection is gone, not that ours is not yet open.
     let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.ping().expect("pong"), "{\"type\":\"pong\"}");
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let health = server.health();

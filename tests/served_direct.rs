@@ -12,13 +12,15 @@ use vrl_serve::runner;
 use vrl_serve::spec::{parse_spec, FrontEnd};
 use vrl_serve::JobSpec;
 
-/// One tiny spec per front end, the faulted one with its guard on.
-const SPECS: [&str; 5] = [
+/// One tiny spec per front end, plus the faulted one with its guard
+/// off, which runs the integrity checker instead of the guard.
+const SPECS: [&str; 6] = [
     r#"{"benchmark":"swaptions","policy":"vrl-access","rows":256,"duration_ms":32}"#,
     r#"{"benchmark":"ferret","policy":"vrl","front_end":"frfcfs","queue_depth":8,"rows":256,"duration_ms":32}"#,
     r#"{"benchmark":"bgsave","policy":"vrl-access","front_end":"sched","banks":4,"rows":256,"duration_ms":32}"#,
     r#"{"benchmark":"canneal","policy":"raidr","front_end":"dimm","channels":2,"ranks":1,"banks_per_rank":2,"rows":256,"duration_ms":32}"#,
     r#"{"benchmark":"vips","policy":"vrl","front_end":"faulted","fault_seed":7,"guard":true,"rows":256,"duration_ms":32}"#,
+    r#"{"benchmark":"dedup","policy":"vrl-access","front_end":"faulted","fault_seed":11,"guard":false,"rows":256,"duration_ms":32}"#,
 ];
 
 /// Pause every 200k cycles: 160 spans over the 32 ms horizon.
