@@ -89,7 +89,9 @@ impl LatencyHistogram {
             .collect()
     }
 
-    /// Inclusive upper bound of bucket `i` (saturating at the top).
+    /// Exclusive upper bound of bucket `i`: bucket `i ≥ 1` holds
+    /// `[2^(i−1), 2^i)`, so this is `2^i` (saturating at the top); bucket
+    /// 0 holds only zero and reports 0.
     fn bucket_bound(i: usize) -> u64 {
         if i == 0 {
             0
