@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 
-use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::experiment::{Experiment, ExperimentConfig};
 use vrl_dram_sim::sim::{NullObserver, SimConfig, Simulator};
 use vrl_trace::gen::{AccessPattern, Workload, WorkloadSpec};
 
@@ -27,7 +27,6 @@ fn main() {
         ..Default::default()
     };
     let experiment = Experiment::new(config);
-    let _ = PolicyKind::ALL; // evaluated via explicit policies below
 
     println!(
         "{:>10} {:>14} {:>16} {:>12}",
