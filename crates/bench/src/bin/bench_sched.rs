@@ -22,6 +22,8 @@
 use serde::Serialize;
 
 use vrl_dram::experiment::{sched_metrics, Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::{Engine, Outcome};
+use vrl_dram_sim::sim::NullObserver;
 use vrl_exec::ExecConfig;
 use vrl_obs::{MetricsRegistry, MetricsSnapshot};
 
@@ -92,28 +94,30 @@ fn main() {
     let sched_blocked_ctr = registry.counter("bench.sched_refresh_blocked");
     let mut sched_merged = MetricsSnapshot::default();
     for kind in PolicyKind::ALL {
-        let in_order = experiment
-            .run_policy(kind, &benchmark)
-            .unwrap_or_else(|e| fail(&e));
-        let frfcfs = experiment
-            .run_frfcfs(kind, &benchmark, sched.queue_depth)
-            .unwrap_or_else(|e| fail(&e));
-        let scheduled = experiment
-            .run_scheduled(kind, &benchmark, sched)
-            .unwrap_or_else(|e| fail(&e));
+        let run = |engine: &Engine| {
+            let trace = experiment.trace(&benchmark).unwrap_or_else(|e| fail(&e));
+            let outcome = experiment.run(engine, kind, trace, 0, &mut NullObserver, |_| {});
+            outcome.unwrap_or_else(|e| fail(&e))
+        };
+        let in_order = run(&Engine::Sim);
+        let queue_depth = sched.queue_depth;
+        let frfcfs = run(&Engine::FrFcfs { queue_depth });
+        let Outcome::Sched(scheduled) = run(&Engine::Sched(sched)) else {
+            unreachable!("the scheduler yields scheduler stats");
+        };
         // Single-bank front ends cannot steer refreshes away from
         // demand: every refresh cycle is demand-visible whenever any
         // request is in flight, so their refresh-busy total is the
         // comparison baseline.
-        registry.add(frfcfs_busy, frfcfs.sim.refresh_busy_cycles);
+        registry.add(frfcfs_busy, frfcfs.sim_stats().refresh_busy_cycles);
         registry.add(sched_blocked_ctr, scheduled.refresh_blocked_cycles);
         sched_merged
             .merge(&sched_metrics(&scheduled))
             .expect("sched snapshots share one shape");
 
         for (front_end, sim, blocked, lat) in [
-            ("in-order", &in_order, None, None),
-            ("fr-fcfs", &frfcfs.sim, None, None),
+            ("in-order", in_order.sim_stats(), None, None),
+            ("fr-fcfs", frfcfs.sim_stats(), None, None),
             (
                 "scheduled",
                 &scheduled.sim,
@@ -167,9 +171,12 @@ fn main() {
     let bit_identical = serial == pooled;
     println!("determinism ({workers} workers): bit-identical = {bit_identical}");
 
-    let (_, violations) = experiment
-        .run_scheduled_checked(PolicyKind::VrlAccess, &benchmark, sched)
-        .unwrap_or_else(|e| fail(&e));
+    let (engine, kind) = (Engine::Sched(sched), PolicyKind::VrlAccess);
+    let mut checker = experiment.integrity_checker(experiment.profiled_retention());
+    let trace = experiment.trace(&benchmark).unwrap_or_else(|e| fail(&e));
+    let checked = experiment.run(&engine, kind, trace, 0, &mut checker, |_| {});
+    checked.unwrap_or_else(|e| fail(&e));
+    let violations = checker.violations().len();
     println!("integrity violations under parallelized VRL-Access: {violations}");
 
     // Supervised execution: the same matrix under the retry / deadline /

@@ -36,6 +36,8 @@
 use serde::Serialize;
 
 use vrl_dram::experiment::{sim_metrics, Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::Engine;
+use vrl_dram_sim::sim::NullObserver;
 use vrl_dram_sim::stats::{SimStats, Throughput};
 use vrl_exec::ExecConfig;
 use vrl_obs::json::JsonValue;
@@ -208,13 +210,17 @@ fn main() {
     let mut frfcfs_totals = SimStats::default();
     for benchmark in benchmarks {
         for &kind in &policies {
-            let stats = experiment
-                .run_frfcfs(kind, benchmark, 32)
+            let engine = Engine::FrFcfs { queue_depth: 32 };
+            let outcome = experiment
+                .trace(benchmark)
+                .and_then(|trace| {
+                    experiment.run(&engine, kind, trace, 0, &mut NullObserver, |_| {})
+                })
                 .unwrap_or_else(|e| {
                     eprintln!("error: {e}");
                     std::process::exit(1);
                 });
-            frfcfs_totals.accumulate(&stats.sim);
+            frfcfs_totals.accumulate(outcome.sim_stats());
         }
     }
     let frfcfs_tp = frfcfs_totals.throughput(started.elapsed().as_secs_f64());

@@ -1,20 +1,24 @@
 //! Crash-consistent checkpoint/resume for experiment runs.
 //!
 //! A checkpoint is a self-contained, versioned, checksummed snapshot of
-//! one run: a header binding it to the front end, benchmark, policy, and
-//! [`ExperimentConfig`] it came from, followed by the engine's full
+//! one run: a header binding it to the [`Engine`], benchmark, policy,
+//! and [`ExperimentConfig`] it came from, followed by the engine's full
 //! run-state (bank FSMs, timing-wheel refresh queues, RNG streams,
 //! policy degradation ladders, statistics, and — for traced runs — the
 //! event ring). Files are written with [`vrl_snap::write_atomic`]
 //! (temp file + `sync_all` + rename), so a crash mid-write never leaves
 //! a torn checkpoint: the previous complete one survives.
 //!
-//! Checkpointed runs and [`resume`] go through the crate's one span
-//! driver, which pauses every engine the same way; at each pause they
-//! seal and write a snapshot. A pause inserts *no* state change, so a
-//! run resumed from any checkpoint is bit-identical to the
-//! uninterrupted run — the property `tests/checkpoint_resume.rs` kills
-//! runs at arbitrary cycles to assert.
+//! [`Experiment::run_checkpointed`] and [`resume`] build their engine
+//! with the same constructor as [`Experiment::run`] and drive it through
+//! the crate's one span driver, which pauses every engine the same way;
+//! at each pause they seal and write a snapshot. A pause inserts *no*
+//! state change, so a run resumed from any checkpoint is bit-identical
+//! to the uninterrupted run — the property `tests/checkpoint_resume.rs`
+//! kills runs at arbitrary cycles to assert. The single-bank simulator,
+//! the FR-FCFS controller and the whole scheduler checkpoint; the
+//! channel-sharded and fault-injected engines do not (see DESIGN.md
+//! §12).
 //!
 //! Resume is **flag-free**: [`resume`] reads everything it needs from
 //! the header (the trace is regenerated deterministically from the
@@ -32,19 +36,17 @@
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
-use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
+use vrl_dram_sim::sim::{NullObserver, SimObserver};
 use vrl_dram_sim::stats::SimStats;
 use vrl_obs::{EventStream, Recorder};
-use vrl_sched::{SchedConfig, SchedStats, Scheduler};
+use vrl_sched::SchedConfig;
 use vrl_snap::{Decoder, Encoder, SnapError, Snapshot as _};
 use vrl_trace::TraceRecord;
 
 use crate::drive::{drive, Pause, SpanEngine};
+use crate::engine::{Engine, EngineRun, Outcome};
 use crate::error::Error;
-use crate::experiment::{
-    matrix_jobs, with_policy, Experiment, ExperimentConfig, MatrixCell, PolicyKind,
-};
+use crate::experiment::{matrix_jobs, Experiment, ExperimentConfig, MatrixCell, PolicyKind};
 
 /// Checkpoint cadence and destination for one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,49 +116,6 @@ impl<S> CheckpointOutcome<S> {
         match self {
             CheckpointOutcome::Completed(s) => CheckpointOutcome::Completed(f(s)),
             CheckpointOutcome::Halted { checkpoints } => CheckpointOutcome::Halted { checkpoints },
-        }
-    }
-}
-
-/// Which engine a checkpoint belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEndKind {
-    /// The single-bank [`Simulator`].
-    Sim,
-    /// The single-bank [`FrFcfsController`].
-    FrFcfs,
-    /// The multi-bank [`Scheduler`].
-    Sched,
-}
-
-impl FrontEndKind {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrontEndKind::Sim => "sim",
-            FrontEndKind::FrFcfs => "frfcfs",
-            FrontEndKind::Sched => "sched",
-        }
-    }
-}
-
-impl vrl_snap::Snapshot for FrontEndKind {
-    fn save(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            FrontEndKind::Sim => 0,
-            FrontEndKind::FrFcfs => 1,
-            FrontEndKind::Sched => 2,
-        });
-    }
-
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, SnapError> {
-        match dec.take_u8()? {
-            0 => Ok(FrontEndKind::Sim),
-            1 => Ok(FrontEndKind::FrFcfs),
-            2 => Ok(FrontEndKind::Sched),
-            tag => Err(SnapError::Malformed {
-                what: format!("unknown front-end tag {tag}"),
-            }),
         }
     }
 }
@@ -278,41 +237,68 @@ impl vrl_snap::Snapshot for SchedShape {
 }
 
 /// Everything a snapshot needs to reconstruct its run from scratch.
+///
+/// On disk: the engine tag (0 simulator, 1 FR-FCFS, 2 scheduler), the
+/// benchmark, policy and config, the FR-FCFS queue depth (0 for other
+/// engines), the scheduler shape (scheduler only) and the traced flag.
 #[derive(Debug, Clone, PartialEq)]
 struct Header {
-    front_end: FrontEndKind,
+    /// [`Engine::Sim`], [`Engine::FrFcfs`] or [`Engine::Sched`].
+    engine: Engine,
     benchmark: String,
     policy: PolicyKind,
     config: ExperimentConfig,
-    /// FR-FCFS request-queue depth ([`FrontEndKind::FrFcfs`] only).
-    queue_depth: usize,
-    /// Scheduler shape ([`FrontEndKind::Sched`] only).
-    sched: Option<SchedShape>,
     /// Whether the run records a structured event trace (the observer's
     /// ring is then part of the engine state).
     traced: bool,
 }
 
-impl vrl_snap::Snapshot for Header {
+impl Header {
     fn save(&self, enc: &mut Encoder) {
-        self.front_end.save(enc);
+        let (tag, queue_depth, sched) = match self.engine {
+            Engine::Sim => (0, 0, None),
+            Engine::FrFcfs { queue_depth } => (1, queue_depth, None),
+            Engine::Sched(config) => (2, 0, Some(SchedShape::of(&config))),
+            _ => unreachable!("run_checkpointed admits only checkpointable engines"),
+        };
+        enc.put_u8(tag);
         self.benchmark.save(enc);
         self.policy.save(enc);
         self.config.save(enc);
-        enc.put_usize(self.queue_depth);
-        self.sched.save(enc);
+        enc.put_usize(queue_depth);
+        sched.save(enc);
         enc.put_bool(self.traced);
     }
 
-    fn load(dec: &mut Decoder<'_>) -> Result<Self, SnapError> {
+    fn load(dec: &mut Decoder<'_>) -> Result<Self, Error> {
+        let tag = dec.take_u8()?;
+        if tag > 2 {
+            return Err(Error::Snapshot(SnapError::Malformed {
+                what: format!("unknown front-end tag {tag}"),
+            }));
+        }
+        let benchmark = String::load(dec)?;
+        let policy = PolicyKind::load(dec)?;
+        let config = ExperimentConfig::load(dec)?;
+        let queue_depth = dec.take_usize()?;
+        let sched = Option::<SchedShape>::load(dec)?;
+        let traced = dec.take_bool()?;
+        let engine = match (tag, sched) {
+            (0, _) => Engine::Sim,
+            (1, _) => Engine::FrFcfs { queue_depth },
+            (_, Some(shape)) => Engine::Sched(shape.to_config()?),
+            (_, None) => {
+                return Err(Error::Snapshot(SnapError::Malformed {
+                    what: "scheduler snapshot lacks its geometry".to_owned(),
+                }))
+            }
+        };
         Ok(Header {
-            front_end: FrontEndKind::load(dec)?,
-            benchmark: String::load(dec)?,
-            policy: PolicyKind::load(dec)?,
-            config: ExperimentConfig::load(dec)?,
-            queue_depth: dec.take_usize()?,
-            sched: Option::<SchedShape>::load(dec)?,
-            traced: dec.take_bool()?,
+            engine,
+            benchmark,
+            policy,
+            config,
+            traced,
         })
     }
 }
@@ -321,14 +307,11 @@ impl vrl_snap::Snapshot for Header {
 /// engine. [`NullObserver`] has none; a [`Recorder`] checkpoints its
 /// event ring so a resumed traced run regenerates the identical stream.
 trait ObserverState: SimObserver {
-    /// Whether the observer records a trace that is part of the run.
-    const RECORDS: bool;
     fn save_obs(&self, enc: &mut Encoder);
     fn restore_obs(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError>;
 }
 
 impl ObserverState for NullObserver {
-    const RECORDS: bool = false;
     fn save_obs(&self, _enc: &mut Encoder) {}
     fn restore_obs(&mut self, _dec: &mut Decoder<'_>) -> Result<(), SnapError> {
         Ok(())
@@ -336,7 +319,6 @@ impl ObserverState for NullObserver {
 }
 
 impl ObserverState for Recorder {
-    const RECORDS: bool = true;
     fn save_obs(&self, enc: &mut Encoder) {
         self.save_state(enc);
     }
@@ -345,207 +327,170 @@ impl ObserverState for Recorder {
     }
 }
 
-/// A checkpointed run of a fresh engine.
-fn checkpointed<E, I, O>(
-    engine: E,
-    trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    observer: &mut O,
-) -> Result<CheckpointOutcome<E::Stats>, Error>
-where
-    E: SpanEngine,
-    I: Iterator<Item = TraceRecord>,
-    O: ObserverState,
-{
-    let cursor = E::Cursor::default();
-    checkpointed_from(engine, cursor, 0, trace, header, ckpt, observer)
+/// Where a resumed run picks up: the snapshot past its header.
+struct Restore<'a> {
+    dec: Decoder<'a>,
+    consumed: u64,
+    paused_at: u64,
 }
 
-/// Drives a checkpointed run from `cursor`, paused at cycle `paused_at`
-/// (`0` for a fresh run). Every pause seals the header, the resume
-/// point, the engine state, and the observer state into a snapshot at
-/// [`CheckpointConfig::path`]; the run halts after
-/// [`CheckpointConfig::halt_after`] snapshots.
-fn checkpointed_from<E, I, O>(
-    engine: E,
-    cursor: E::Cursor,
-    paused_at: u64,
+/// A checkpointed leg of a run: a fresh engine, or one restored from a
+/// snapshot, driven on with a snapshot written at every pause.
+struct Leg<'a, I, O> {
+    header: &'a Header,
+    ckpt: &'a CheckpointConfig,
     trace: I,
-    header: &Header,
-    ckpt: &CheckpointConfig,
-    observer: &mut O,
-) -> Result<CheckpointOutcome<E::Stats>, Error>
+    observer: &'a mut O,
+    restore: Option<Restore<'a>>,
+}
+
+impl<I, O> EngineRun for Leg<'_, I, O>
 where
-    E: SpanEngine,
     I: Iterator<Item = TraceRecord>,
     O: ObserverState,
 {
-    let end = header.config.end_cycle();
-    let every = ckpt.every_cycles;
-    let first = paused_at.saturating_add(every);
-    let on_pause = |pause: Pause<'_, E, O>| {
-        let mut enc = Encoder::new();
-        header.save(&mut enc);
-        enc.put_u64(pause.stop);
-        enc.put_u64(E::consumed(pause.cursor));
-        pause.engine.save_run(pause.cursor, &mut enc);
-        pause.observer.save_obs(&mut enc);
-        vrl_snap::write_atomic(&ckpt.path, &vrl_snap::seal(&enc.into_bytes()))?;
-        Ok(if ckpt.halt_after.is_some_and(|k| pause.index >= k) {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        })
+    type Output = CheckpointOutcome<Outcome>;
+
+    /// Restores the engine (and the observer) if resuming, then drives
+    /// it from the pause point. Every pause seals the header, the resume
+    /// point, the engine state, and the observer state into a snapshot
+    /// at [`CheckpointConfig::path`]; the run halts after
+    /// [`CheckpointConfig::halt_after`] snapshots.
+    fn drive<E: SpanEngine>(
+        self,
+        mut engine: E,
+        wrap: fn(E::Stats) -> Outcome,
+    ) -> Result<Self::Output, Error> {
+        let Leg {
+            header,
+            ckpt,
+            trace,
+            observer,
+            restore,
+        } = self;
+        let (cursor, paused_at) = match restore {
+            None => (E::Cursor::default(), 0),
+            Some(mut at) => {
+                let cursor = engine.restore_run(at.consumed, &mut at.dec)?;
+                observer.restore_obs(&mut at.dec)?;
+                (cursor, at.paused_at)
+            }
+        };
+        let end = header.config.end_cycle();
+        let every = ckpt.every_cycles;
+        let first = paused_at.saturating_add(every);
+        let on_pause = |pause: Pause<'_, E, O>| {
+            let mut enc = Encoder::new();
+            header.save(&mut enc);
+            enc.put_u64(pause.stop);
+            enc.put_u64(E::consumed(pause.cursor));
+            pause.engine.save_run(pause.cursor, &mut enc);
+            pause.observer.save_obs(&mut enc);
+            vrl_snap::write_atomic(&ckpt.path, &vrl_snap::seal(&enc.into_bytes()))?;
+            Ok(if ckpt.halt_after.is_some_and(|k| pause.index >= k) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        };
+        let outcome = drive(engine, cursor, trace, end, first, every, observer, on_pause)?;
+        Ok(outcome.map(wrap))
+    }
+}
+
+/// Builds the header's engine in `experiment` and drives a checkpointed
+/// leg of it — with an event recorder when the run is traced, whose
+/// stream comes back once the run completes.
+fn checkpointed<I>(
+    experiment: &Experiment,
+    header: &Header,
+    ckpt: &CheckpointConfig,
+    trace: I,
+    restore: Option<Restore<'_>>,
+) -> Result<(CheckpointOutcome<Outcome>, Option<EventStream>), Error>
+where
+    I: Iterator<Item = TraceRecord>,
+{
+    let (engine, policy) = (&header.engine, header.policy);
+    if !header.traced {
+        let observer = &mut NullObserver;
+        let leg = Leg {
+            header,
+            ckpt,
+            trace,
+            observer,
+            restore,
+        };
+        return Ok((experiment.build(engine, policy, leg)?, None));
+    }
+    let mut recorder = engine.recorder(&header.benchmark, policy);
+    let leg = Leg {
+        header,
+        ckpt,
+        trace,
+        observer: &mut recorder,
+        restore,
     };
-    drive(engine, cursor, trace, end, first, every, observer, on_pause)
+    let outcome = experiment.build(engine, policy, leg)?;
+    let events = matches!(outcome, CheckpointOutcome::Completed(_)).then(|| recorder.finish());
+    Ok((outcome, events))
 }
 
 impl Experiment {
-    /// A header binding a snapshot to this experiment's run of `policy`
-    /// on `benchmark`; front-end specifics are left unset.
-    fn header(&self, front_end: FrontEndKind, benchmark: &str, policy: PolicyKind) -> Header {
-        Header {
-            front_end,
+    /// Runs `policy` on `engine` over the benchmark's trace with
+    /// crash-consistent checkpoints: the engine pauses every
+    /// [`CheckpointConfig::every_cycles`] and atomically snapshots its
+    /// full state to [`CheckpointConfig::path`]. A `traced` run records
+    /// a structured event trace whose ring is part of the snapshot; its
+    /// stream comes back when the run completes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Snapshot`] for a zero cadence, an engine other
+    /// than [`Engine::Sim`], [`Engine::FrFcfs`] and [`Engine::Sched`]
+    /// (the others have no checkpoint seam), or a failed write;
+    /// [`Error::UnknownWorkload`] for an unknown benchmark; and
+    /// [`Error::Sim`] for an engine configuration failure.
+    pub fn run_checkpointed(
+        &self,
+        engine: &Engine,
+        policy: PolicyKind,
+        benchmark: &str,
+        ckpt: &CheckpointConfig,
+        traced: bool,
+    ) -> Result<(CheckpointOutcome<Outcome>, Option<EventStream>), Error> {
+        ckpt.validated()?;
+        if !matches!(
+            engine,
+            Engine::Sim | Engine::FrFcfs { .. } | Engine::Sched(_)
+        ) {
+            return Err(Error::Snapshot(SnapError::Malformed {
+                what: format!("the {} engine cannot be checkpointed", engine.name()),
+            }));
+        }
+        let header = Header {
+            engine: *engine,
             benchmark: benchmark.to_owned(),
             policy,
             config: *self.config(),
-            queue_depth: 0,
-            sched: None,
-            traced: false,
-        }
-    }
-
-    /// [`Experiment::run_policy`] with crash-consistent checkpoints: the
-    /// single-bank simulator pauses every
-    /// [`CheckpointConfig::every_cycles`] and atomically snapshots its
-    /// full state to [`CheckpointConfig::path`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark and
-    /// [`Error::Snapshot`] for a zero cadence or a failed write.
-    pub fn run_policy_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<SimStats>, Error> {
-        ckpt.validated()?;
-        let header = self.header(FrontEndKind::Sim, benchmark, kind);
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            checkpointed(sim, trace, &header, ckpt, &mut NullObserver)
-        })
-    }
-
-    /// [`Experiment::run_frfcfs`] with crash-consistent checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_policy_checkpointed`]; additionally
-    /// [`Error::Sim`] for an invalid queue depth.
-    pub fn run_frfcfs_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        queue_depth: usize,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<ControllerStats>, Error> {
-        ckpt.validated()?;
-        let header = Header {
-            queue_depth,
-            ..self.header(FrontEndKind::FrFcfs, benchmark, kind)
+            traced,
         };
         let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let config = SimConfig::with_rows(self.config().rows);
-            let ctl = FrFcfsController::new(config, p, queue_depth)?;
-            checkpointed(ctl, trace, &header, ckpt, &mut NullObserver)
-        })
+        checkpointed(self, &header, ckpt, trace, None)
     }
-
-    /// [`Experiment::run_scheduled`] with crash-consistent checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_policy_checkpointed`]; additionally
-    /// [`Error::Sim`] for a scheduler configuration failure.
-    pub fn run_scheduled_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<SchedStats>, Error> {
-        self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut NullObserver)
-    }
-
-    /// [`Experiment::run_scheduled_traced`] with crash-consistent
-    /// checkpoints: the recorder's event ring is part of the snapshot,
-    /// so a resumed traced run produces the identical event stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_scheduled_checkpointed`].
-    pub fn run_scheduled_traced_checkpointed(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        ckpt: &CheckpointConfig,
-    ) -> Result<CheckpointOutcome<(SchedStats, EventStream)>, Error> {
-        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
-        let outcome = self.sched_checkpointed(kind, benchmark, sched, ckpt, &mut recorder)?;
-        Ok(outcome.map(|stats| (stats, recorder.finish())))
-    }
-
-    /// The scheduler checkpointed run, traced when `observer` records.
-    fn sched_checkpointed<O: ObserverState>(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        ckpt: &CheckpointConfig,
-        observer: &mut O,
-    ) -> Result<CheckpointOutcome<SchedStats>, Error> {
-        ckpt.validated()?;
-        let header = Header {
-            sched: Some(SchedShape::of(&sched)),
-            traced: O::RECORDS,
-            ..self.header(FrontEndKind::Sched, benchmark, kind)
-        };
-        let trace = self.trace(benchmark)?;
-        with_policy!(kind, self.plan(), |p| {
-            let engine = Scheduler::new(sched, p)?;
-            checkpointed(engine, trace, &header, ckpt, observer)
-        })
-    }
-}
-
-/// The engine-specific statistics a resumed run produced.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResumedStats {
-    /// Single-bank simulator statistics.
-    Sim(SimStats),
-    /// FR-FCFS controller statistics.
-    FrFcfs(ControllerStats),
-    /// Multi-bank scheduler statistics.
-    Sched(SchedStats),
 }
 
 /// The outcome of [`resume`].
 #[derive(Debug)]
 pub struct ResumeReport {
-    /// Which engine the snapshot came from.
-    pub front_end: FrontEndKind,
+    /// The engine the snapshot came from.
+    pub engine: Engine,
     /// The benchmark the run simulates.
     pub benchmark: String,
     /// The refresh policy under test.
     pub policy: PolicyKind,
     /// How the continued run ended.
-    pub outcome: CheckpointOutcome<ResumedStats>,
+    pub outcome: CheckpointOutcome<Outcome>,
     /// The recorded event stream, for traced snapshots that ran to
     /// completion.
     pub events: Option<EventStream>,
@@ -572,7 +517,7 @@ pub fn resume(path: &Path, ckpt: Option<&CheckpointConfig>) -> Result<ResumeRepo
     let payload = vrl_snap::open(&bytes)?;
     let mut dec = Decoder::new(payload);
     let header = Header::load(&mut dec)?;
-    let stop = dec.take_u64()?;
+    let paused_at = dec.take_u64()?;
     let consumed = dec.take_u64()?;
 
     let experiment = Experiment::new(header.config);
@@ -582,76 +527,19 @@ pub fn resume(path: &Path, ckpt: Option<&CheckpointConfig>) -> Result<ResumeRepo
     let fallback = CheckpointConfig::new(path, u64::MAX);
     let ckpt = ckpt.unwrap_or(&fallback);
     ckpt.validated()?;
-    let sched = header.sched.map(SchedShape::to_config).transpose()?;
-    let leg = Leg {
-        header: &header,
+    let restore = Restore {
         dec,
         consumed,
-        paused_at: stop,
-        ckpt,
+        paused_at,
     };
-    let rows = SimConfig::with_rows(header.config.rows);
-    let (outcome, events) = with_policy!(header.policy, experiment.plan(), |p| {
-        match header.front_end {
-            FrontEndKind::Sim => leg.run(Simulator::new(rows, p), trace, ResumedStats::Sim),
-            FrontEndKind::FrFcfs => {
-                let ctl = FrFcfsController::new(rows, p, header.queue_depth)?;
-                leg.run(ctl, trace, ResumedStats::FrFcfs)
-            }
-            FrontEndKind::Sched => {
-                let config = sched.ok_or(Error::Snapshot(SnapError::Malformed {
-                    what: "scheduler snapshot lacks its geometry".to_owned(),
-                }))?;
-                leg.run(Scheduler::new(config, p)?, trace, ResumedStats::Sched)
-            }
-        }
-    })?;
+    let (outcome, events) = checkpointed(&experiment, &header, ckpt, trace, Some(restore))?;
     Ok(ResumeReport {
-        front_end: header.front_end,
+        engine: header.engine,
         benchmark: header.benchmark,
         policy: header.policy,
         outcome,
         events,
     })
-}
-
-/// The rest of a snapshot once its header and resume point are read.
-struct Leg<'a> {
-    header: &'a Header,
-    dec: Decoder<'a>,
-    consumed: u64,
-    paused_at: u64,
-    ckpt: &'a CheckpointConfig,
-}
-
-impl Leg<'_> {
-    /// Restores `engine` (and, for traced runs, the event recorder) from
-    /// the snapshot and drives it on — the one resume path every front
-    /// end shares.
-    fn run<E, I>(
-        mut self,
-        mut engine: E,
-        trace: I,
-        wrap: fn(E::Stats) -> ResumedStats,
-    ) -> Result<(CheckpointOutcome<ResumedStats>, Option<EventStream>), Error>
-    where
-        E: SpanEngine,
-        I: Iterator<Item = TraceRecord>,
-    {
-        let cursor = engine.restore_run(self.consumed, &mut self.dec)?;
-        let (header, ckpt, at) = (self.header, self.ckpt, self.paused_at);
-        if !header.traced {
-            let outcome =
-                checkpointed_from(engine, cursor, at, trace, header, ckpt, &mut NullObserver)?;
-            return Ok((outcome.map(wrap), None));
-        }
-        let rows_per_bank = header.sched.map_or(u32::MAX, |s| s.rows_per_bank);
-        let mut recorder = Recorder::new(&header.benchmark, header.policy.name(), rows_per_bank);
-        recorder.restore_obs(&mut self.dec)?;
-        let outcome = checkpointed_from(engine, cursor, at, trace, header, ckpt, &mut recorder)?;
-        let events = matches!(outcome, CheckpointOutcome::Completed(_)).then(|| recorder.finish());
-        Ok((outcome.map(wrap), events))
-    }
 }
 
 /// A matrix-level manifest for [`Experiment::compare_all`]-style sweeps:

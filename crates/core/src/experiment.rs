@@ -18,20 +18,19 @@ use vrl_exec::{map_ordered, map_ordered_report, ExecConfig, PoolReport};
 
 use vrl_circuit::model::AnalyticalModel;
 use vrl_circuit::tech::Technology;
-use vrl_dram_sim::controller::ControllerStats;
-use vrl_dram_sim::fault::{FaultConfig, FaultInjector, FaultStats};
-use vrl_dram_sim::guard::{Guard, GuardConfig, GuardStats};
+use vrl_dram_sim::fault::{FaultConfig, FaultStats};
+use vrl_dram_sim::guard::{GuardConfig, GuardStats};
 use vrl_dram_sim::integrity::IntegrityChecker;
-use vrl_dram_sim::policy::AdaptivePolicy;
-use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
+use vrl_dram_sim::sim::{NullObserver, SimObserver};
 use vrl_dram_sim::{SimStats, TimingParams};
-use vrl_obs::{merge_streams, Event, EventStream, MetricsRegistry, MetricsSnapshot, Recorder};
+use vrl_obs::{merge_streams, Event, EventStream, MetricsRegistry, MetricsSnapshot};
 use vrl_power::model::{PowerBreakdown, PowerModel};
 use vrl_retention::distribution::RetentionDistribution;
 use vrl_retention::profile::BankProfile;
-use vrl_sched::{SchedConfig, SchedStats, Scheduler};
+use vrl_sched::{SchedConfig, SchedStats};
 use vrl_trace::{TraceRecord, Workload, WorkloadSpec};
 
+use crate::engine::Engine;
 use crate::error::Error;
 use crate::physics::ModelPhysics;
 use crate::plan::RefreshPlan;
@@ -269,12 +268,12 @@ impl Experiment {
     }
 
     /// Materializes one benchmark's deterministic trace as an owned
-    /// record vector. Runs normally regenerate traces on the fly
-    /// ([`Experiment::run_policy`] et al.); a materialized trace is for
-    /// callers that replay the same records many times — `vrl-serve`
-    /// caches them per `(benchmark, rows, seed, duration)` and feeds
-    /// `trace.iter().copied()` to the `run_*_with` family, bit-identical
-    /// to streaming generation.
+    /// record vector. Runs normally stream [`Experiment::trace`]; a
+    /// materialized trace is for callers that replay the same records
+    /// many times — `vrl-serve` caches them per
+    /// `(benchmark, rows, seed, duration)` and passes
+    /// `trace.iter().copied()` to [`Experiment::run`], bit-identical to
+    /// streaming generation.
     ///
     /// # Errors
     ///
@@ -283,7 +282,15 @@ impl Experiment {
         Ok(self.trace(benchmark)?.collect())
     }
 
-    pub(crate) fn trace(&self, benchmark: &str) -> Result<vrl_trace::gen::Records, Error> {
+    /// One benchmark's deterministic trace over this experiment's rows,
+    /// seed and duration, generated lazily — the trace every
+    /// [`Experiment::run`] caller streams.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name,
+    /// with the list of known benchmarks.
+    pub fn trace(&self, benchmark: &str) -> Result<vrl_trace::gen::Records, Error> {
         let spec = WorkloadSpec::parsec(benchmark).ok_or_else(|| Error::UnknownWorkload {
             requested: benchmark.to_owned(),
             known: WorkloadSpec::BENCHMARKS
@@ -295,8 +302,8 @@ impl Experiment {
         Ok(workload.records(self.config.duration_ms))
     }
 
-    /// Runs one policy against one benchmark's trace (streamed — traces
-    /// are regenerated deterministically per run).
+    /// [`Experiment::run`] on [`Engine::Sim`] over the benchmark's
+    /// streamed trace. Kept for `perfbench/`.
     ///
     /// # Errors
     ///
@@ -307,57 +314,29 @@ impl Experiment {
         Ok(self.run_policy_with(kind, trace, &mut NullObserver))
     }
 
-    /// Runs one policy over an explicit trace, reporting events to an
-    /// observer.
+    /// [`Experiment::run`] on [`Engine::Sim`] over an explicit trace,
+    /// reporting events to an observer. Kept for `perfbench/`.
     pub fn run_policy_with<I, O>(&self, kind: PolicyKind, trace: I, observer: &mut O) -> SimStats
     where
-        I: Iterator<Item = TraceRecord>,
+        I: Iterator<Item = TraceRecord> + Clone,
         O: SimObserver,
     {
-        self.run_sim(kind, trace, 0, observer, |_| {})
-    }
-
-    /// Runs one policy against one benchmark on the single-bank front
-    /// end while recording a structured event trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
-    pub fn run_policy_traced(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-    ) -> Result<(SimStats, EventStream), Error> {
-        let trace = self.trace(benchmark)?;
-        let mut recorder = Recorder::single_bank(benchmark, kind.name());
-        let stats = self.run_policy_with(kind, trace, &mut recorder);
-        Ok((stats, recorder.finish()))
-    }
-
-    /// Runs a policy under the integrity checker; returns the stats and
-    /// the number of charge violations (must be 0 for a sound plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
-    pub fn run_checked(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-    ) -> Result<(SimStats, usize), Error> {
-        let trace = self.trace(benchmark)?;
-        let mut checker = self.integrity_checker(self.profiled_retention());
-        let stats = self.run_policy_with(kind, trace, &mut checker);
-        Ok((stats, checker.violations().len()))
+        let outcome = self.run(&Engine::Sim, kind, trace, 0, observer, |_| {});
+        outcome
+            .expect("the single-bank simulator cannot fail")
+            .into_sim()
     }
 
     /// Every row's profiled (weakest-cell) retention.
-    fn profiled_retention(&self) -> Vec<f64> {
+    pub fn profiled_retention(&self) -> Vec<f64> {
         self.profile.iter().map(|r| r.weakest_ms).collect()
     }
 
     /// The ground-truth charge checker over the given row retentions.
-    fn integrity_checker(&self, retention_ms: Vec<f64>) -> IntegrityChecker<ModelPhysics> {
+    /// Observing a run with a checker over
+    /// [`Experiment::profiled_retention`] counts the plan's charge
+    /// violations (zero for a sound plan).
+    pub fn integrity_checker(&self, retention_ms: Vec<f64>) -> IntegrityChecker<ModelPhysics> {
         IntegrityChecker::new(
             ModelPhysics::n90(),
             TimingParams::paper_default(),
@@ -487,10 +466,12 @@ impl Experiment {
         benchmark: &str,
         kind: PolicyKind,
     ) -> Result<MatrixCell, Error> {
+        let trace = self.trace(benchmark)?;
+        let outcome = self.run(&Engine::Sim, kind, trace, 0, &mut NullObserver, |_| {})?;
         Ok(MatrixCell {
             benchmark: benchmark.to_owned(),
             policy: kind,
-            stats: self.run_policy(kind, benchmark)?,
+            stats: outcome.into_sim(),
         })
     }
 
@@ -550,61 +531,18 @@ impl Experiment {
         )?)
     }
 
-    /// Runs one channel shard of a full-DIMM simulation: the whole
-    /// benchmark trace is regenerated deterministically, records
-    /// steered to other channels are dropped by the shard, and events
-    /// come back in a stream labeled `"{benchmark}/ch{channel}"` with
-    /// global bank indices.
+    /// Runs a full-DIMM simulation with one independent
+    /// [`Engine::Channel`] shard per channel fanned across the worker
+    /// pool, each recording events in a stream labeled
+    /// `"{benchmark}/ch{channel}"`. Shards never share state, so the
+    /// merged stats are bit-identical to an [`Engine::Dimm`] run for
+    /// every pool shape.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for an out-of-range channel or scheduler
-    /// invariant failure.
-    pub fn run_dimm_channel(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-        channel: u32,
-    ) -> Result<(SchedStats, EventStream), Error> {
-        let trace = self.trace(benchmark)?;
-        let label = format!("{benchmark}/ch{channel}");
-        let mut recorder = Recorder::new(&label, kind.name(), sched.rows_per_bank());
-        let stats = with_policy!(kind, self.plan, |p| {
-            let engine = Scheduler::for_channel(sched, p, channel)?;
-            self.run_spanned(engine, trace, 0, &mut recorder, |_| {})
-        })?;
-        Ok((stats, recorder.finish()))
-    }
-
-    /// Runs every channel shard of a full-DIMM simulation serially and
-    /// merges the results — the bit-identity reference for
-    /// [`Experiment::run_dimm_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_dimm_channel`].
-    pub fn run_dimm_serial(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<DimmRun, Error> {
-        (0..sched.channels())
-            .map(|c| self.run_dimm_channel(kind, benchmark, sched, c))
-            .collect::<Result<Vec<_>, _>>()
-            .map(DimmRun::assemble)
-    }
-
-    /// Runs a full-DIMM simulation with one independent scheduler shard
-    /// per channel fanned across the worker pool. Shards never share
-    /// state, so the result is bit-identical to
-    /// [`Experiment::run_dimm_serial`] for every pool shape.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-channel failure; worker panics surface as
+    /// and [`Error::Sim`] for a scheduler invariant failure; the
+    /// lowest-channel failure wins, and worker panics surface as
     /// [`Error::WorkerPanic`].
     pub fn run_dimm_with(
         &self,
@@ -614,110 +552,19 @@ impl Experiment {
         sched: SchedConfig,
     ) -> Result<DimmRun, Error> {
         let channels: Vec<u32> = (0..sched.channels()).collect();
-        let shards = map_ordered(cfg, &channels, |_, &c| {
-            self.run_dimm_channel(kind, benchmark, sched, c)
+        let shards = map_ordered(cfg, &channels, |_, &channel| {
+            let trace = self.trace(benchmark)?;
+            let shard = Engine::Channel { sched, channel };
+            let mut recorder = shard.recorder(&format!("{benchmark}/ch{channel}"), kind);
+            let outcome = self.run(&shard, kind, trace, 0, &mut recorder, |_| {})?;
+            Ok((outcome.into_sched(), recorder.finish()))
         })
         .map_err(Error::from)?;
-        Ok(DimmRun::assemble(shards))
-    }
-
-    /// Runs one policy against one benchmark on the FR-FCFS controller
-    /// front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for an invalid queue depth.
-    pub fn run_frfcfs(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        queue_depth: usize,
-    ) -> Result<ControllerStats, Error> {
-        let trace = self.trace(benchmark)?;
-        self.run_frfcfs_spanned_with(kind, trace, queue_depth, 0, |_| {})
-    }
-
-    /// Runs one policy against one benchmark on the multi-bank command
-    /// scheduler front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for a scheduler configuration or invariant
-    /// failure.
-    pub fn run_scheduled(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<SchedStats, Error> {
-        let trace = self.trace(benchmark)?;
-        self.run_scheduled_with(kind, sched, trace, &mut NullObserver)
-    }
-
-    /// Runs a policy on the scheduler front end over an explicit trace,
-    /// reporting refresh/activate events (keyed by global row index) to
-    /// an observer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Sim`] for a scheduler configuration or invariant
-    /// failure.
-    pub fn run_scheduled_with<I, O>(
-        &self,
-        kind: PolicyKind,
-        sched: SchedConfig,
-        trace: I,
-        observer: &mut O,
-    ) -> Result<SchedStats, Error>
-    where
-        I: Iterator<Item = TraceRecord>,
-        O: SimObserver,
-    {
-        with_policy!(kind, self.plan, |p| {
-            let engine = Scheduler::new(sched, p)?;
-            self.run_spanned(engine, trace, 0, observer, |_| {})
-        })
-    }
-
-    /// Runs one policy against one benchmark on the scheduler front end
-    /// while recording a structured event trace (per-bank event tracks,
-    /// keyed by the scheduler's row→bank address map).
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_scheduled`].
-    pub fn run_scheduled_traced(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<(SchedStats, EventStream), Error> {
-        let trace = self.trace(benchmark)?;
-        let mut recorder = Recorder::new(benchmark, kind.name(), sched.rows_per_bank());
-        let stats = self.run_scheduled_with(kind, sched, trace, &mut recorder)?;
-        Ok((stats, recorder.finish()))
-    }
-
-    /// Runs a policy on the scheduler front end under the integrity
-    /// checker; returns the stats and the number of charge violations
-    /// (must be 0 for a sound plan — postponement is bounded by the
-    /// elasticity window, far below any retention margin).
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::run_scheduled`].
-    pub fn run_scheduled_checked(
-        &self,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<(SchedStats, usize), Error> {
-        let trace = self.trace(benchmark)?;
-        let mut checker = self.integrity_checker(self.profiled_retention());
-        let stats = self.run_scheduled_with(kind, sched, trace, &mut checker)?;
-        Ok((stats, checker.violations().len()))
+        let (stats, streams): (Vec<SchedStats>, _) = shards.into_iter().unzip();
+        let stats = stats
+            .iter()
+            .fold(SchedStats::default(), |all, s| all.merge(s));
+        Ok(DimmRun { stats, streams })
     }
 
     /// The scheduler-front-end (benchmark × policy) matrix through the
@@ -760,15 +607,24 @@ impl Experiment {
         kind: PolicyKind,
         sched: SchedConfig,
     ) -> Result<SchedCell, Error> {
+        let trace = self.trace(benchmark)?;
+        let outcome = self.run(
+            &Engine::Sched(sched),
+            kind,
+            trace,
+            0,
+            &mut NullObserver,
+            |_| {},
+        )?;
         Ok(SchedCell {
             benchmark: benchmark.to_owned(),
             policy: kind,
-            stats: self.run_scheduled(kind, benchmark, sched)?,
+            stats: outcome.into_sched(),
         })
     }
 
-    /// Runs a policy under injected faults, optionally protected by the
-    /// runtime [`Guard`].
+    /// [`Experiment::run`] on [`Engine::Faulted`] over the benchmark's
+    /// streamed trace. Kept for `perfbench/`.
     ///
     /// Unguarded runs keep the ground-truth [`IntegrityChecker`] attached
     /// so silent data loss is visible in
@@ -785,65 +641,13 @@ impl Experiment {
         faults: &FaultConfig,
         guard: Option<&GuardConfig>,
     ) -> Result<FaultedOutcome, Error> {
-        let trace = self.trace(benchmark)?;
-        Ok(self.run_faulted_with(kind, trace, faults, guard))
-    }
-
-    /// [`Experiment::run_faulted`] over an explicit trace — `vrl-serve`
-    /// feeds it a cached, materialized trace; bit-identical to
-    /// streaming generation.
-    pub fn run_faulted_with<I>(
-        &self,
-        kind: PolicyKind,
-        trace: I,
-        faults: &FaultConfig,
-        guard: Option<&GuardConfig>,
-    ) -> FaultedOutcome
-    where
-        I: Iterator<Item = TraceRecord>,
-    {
-        let profiled = self.profiled_retention();
-        let injector = FaultInjector::new(*faults, &profiled, TimingParams::paper_default());
-        with_policy!(kind, self.plan, |p| {
-            self.faulted_run(p, trace, injector, guard)
-        })
-    }
-
-    fn faulted_run<P, I>(
-        &self,
-        policy: P,
-        trace: I,
-        injector: FaultInjector,
-        guard_cfg: Option<&GuardConfig>,
-    ) -> FaultedOutcome
-    where
-        P: AdaptivePolicy,
-        I: Iterator<Item = TraceRecord>,
-    {
-        let true_retention = injector.true_retention();
-        let d = self.config.duration_ms;
-        let mut sim = Simulator::new(SimConfig::with_rows(self.config.rows), policy);
-        sim.set_fault_injector(injector);
-        let (stats, violations, guard) = if let Some(cfg) = guard_cfg {
-            let timing = TimingParams::paper_default();
-            let mut guard = Guard::new(ModelPhysics::n90(), timing, true_retention, *cfg);
-            let stats = sim.run_guarded(trace, d, &mut guard);
-            (stats, 0, Some(guard.stats()))
-        } else {
-            let mut checker = self.integrity_checker(true_retention);
-            let stats = sim.run_observed(trace, d, &mut checker);
-            (stats, checker.violations().len(), None)
+        let engine = Engine::Faulted {
+            faults: *faults,
+            guard: guard.copied(),
         };
-        let faults = sim
-            .fault_injector()
-            .map(FaultInjector::stats)
-            .unwrap_or_default();
-        FaultedOutcome {
-            stats,
-            violations,
-            guard,
-            faults,
-        }
+        let trace = self.trace(benchmark)?;
+        let outcome = self.run(&engine, kind, trace, 0, &mut NullObserver, |_| {})?;
+        Ok(outcome.into_faulted())
     }
 }
 
@@ -952,28 +756,18 @@ pub struct SchedCell {
 }
 
 /// One full-DIMM run assembled from per-channel scheduler shards
-/// ([`Experiment::run_dimm_serial`] / [`Experiment::run_dimm_with`]).
+/// ([`Experiment::run_dimm_with`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimmRun {
     /// Counters merged across every shard with
     /// [`SchedStats::merge`] — identical to the stats of one
-    /// whole-DIMM [`Scheduler`] instance over the same trace.
+    /// whole-DIMM [`vrl_sched::Scheduler`] instance over the same trace.
     pub stats: SchedStats,
     /// One event stream per channel, in channel order.
     pub streams: Vec<EventStream>,
 }
 
 impl DimmRun {
-    fn assemble(shards: Vec<(SchedStats, EventStream)>) -> DimmRun {
-        let mut stats = SchedStats::default();
-        let mut streams = Vec::with_capacity(shards.len());
-        for (shard_stats, stream) in shards {
-            stats = stats.merge(&shard_stats);
-            streams.push(stream);
-        }
-        DimmRun { stats, streams }
-    }
-
     /// Every shard's events in the deterministic `(cycle, bank, seq)`
     /// merge order — independent of how shards were packed onto
     /// workers, because each bank's events come from exactly one shard.
@@ -1000,6 +794,7 @@ pub struct FaultedOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Outcome;
 
     fn small() -> Experiment {
         Experiment::new(ExperimentConfig {
@@ -1007,6 +802,35 @@ mod tests {
             duration_ms: 512.0,
             ..Default::default()
         })
+    }
+
+    /// An unsegmented, unobserved run of `kind` on `engine`.
+    fn run(
+        e: &Experiment,
+        engine: &Engine,
+        kind: PolicyKind,
+        benchmark: &str,
+    ) -> Result<Outcome, Error> {
+        e.run(
+            engine,
+            kind,
+            e.trace(benchmark)?,
+            0,
+            &mut NullObserver,
+            |_| {},
+        )
+    }
+
+    /// A run under the integrity checker, with its charge violations.
+    fn checked(
+        e: &Experiment,
+        engine: &Engine,
+        kind: PolicyKind,
+        benchmark: &str,
+    ) -> Result<(Outcome, usize), Error> {
+        let mut checker = e.integrity_checker(e.profiled_retention());
+        let outcome = e.run(engine, kind, e.trace(benchmark)?, 0, &mut checker, |_| {})?;
+        Ok((outcome, checker.violations().len()))
     }
 
     #[test]
@@ -1041,7 +865,7 @@ mod tests {
             other => panic!("unexpected error: {other:?}"),
         }
         assert!(e.compare("nope").is_err());
-        assert!(e.run_checked(PolicyKind::Vrl, "nope").is_err());
+        assert!(checked(&e, &Engine::Sim, PolicyKind::Vrl, "nope").is_err());
     }
 
     #[test]
@@ -1067,8 +891,12 @@ mod tests {
             .with_slack(0)
             .with_queue_depth(32);
         for kind in PolicyKind::ALL {
-            let s = e.run_scheduled(kind, "ferret", sched).expect("known");
-            let c = e.run_frfcfs(kind, "ferret", 32).expect("known");
+            let s = run(&e, &Engine::Sched(sched), kind, "ferret")
+                .expect("known")
+                .into_sched();
+            let c = run(&e, &Engine::FrFcfs { queue_depth: 32 }, kind, "ferret")
+                .expect("known")
+                .into_frfcfs();
             assert_eq!(s.sim, c.sim, "{} diverged", kind.name());
             assert_eq!(s.reordered, c.reordered);
         }
@@ -1102,9 +930,9 @@ mod tests {
             ..Default::default()
         });
         let sched = e.sched_config(4).expect("4 banks");
-        let (stats, violations) = e
-            .run_scheduled_checked(PolicyKind::VrlAccess, "ferret", sched)
-            .expect("known");
+        let (stats, violations) =
+            checked(&e, &Engine::Sched(sched), PolicyKind::VrlAccess, "ferret").expect("known");
+        let stats = stats.into_sched();
         assert_eq!(violations, 0, "parallelized refreshes must stay sound");
         assert!(stats.sim.total_refreshes() > 0);
     }
@@ -1129,16 +957,20 @@ mod tests {
             ..Default::default()
         });
         let sched = e.dimm_config(2, 2, 4).expect("16 banks");
-        let whole = e
-            .run_scheduled(PolicyKind::VrlAccess, "ferret", sched)
-            .expect("known");
-        let serial = e
-            .run_dimm_serial(PolicyKind::VrlAccess, "ferret", sched)
-            .expect("known");
+        let whole = run(&e, &Engine::Sched(sched), PolicyKind::VrlAccess, "ferret")
+            .expect("known")
+            .into_sched();
+        let sharded = run(&e, &Engine::Dimm(sched), PolicyKind::VrlAccess, "ferret")
+            .expect("known")
+            .into_sched();
         assert_eq!(
-            serial.stats, whole,
+            sharded, whole,
             "merged shard stats must equal the single whole-DIMM instance"
         );
+        let serial = e
+            .run_dimm_with(&ExecConfig::new(1), PolicyKind::VrlAccess, "ferret", sched)
+            .expect("known");
+        assert_eq!(serial.stats, whole);
         assert_eq!(serial.streams.len(), 2);
         for workers in [1, 2, 5] {
             let pooled = e
@@ -1200,7 +1032,21 @@ mod tests {
                 .run_faulted(PolicyKind::Vrl, "ferret", &faults, guard)
                 .expect("known");
             let trace = e.materialize_trace("ferret").expect("known");
-            let replayed = e.run_faulted_with(PolicyKind::Vrl, trace.into_iter(), &faults, guard);
+            let engine = Engine::Faulted {
+                faults,
+                guard: guard.copied(),
+            };
+            let replayed = e
+                .run(
+                    &engine,
+                    PolicyKind::Vrl,
+                    trace.into_iter(),
+                    0,
+                    &mut NullObserver,
+                    |_| {},
+                )
+                .expect("runs")
+                .into_faulted();
             assert_eq!(streamed, replayed, "guarded: {}", guard.is_some());
         }
     }
@@ -1208,16 +1054,16 @@ mod tests {
     #[test]
     fn vrl_plan_is_integrity_safe() {
         let e = small();
-        let (_, violations) = e.run_checked(PolicyKind::Vrl, "swaptions").expect("known");
+        let (_, violations) =
+            checked(&e, &Engine::Sim, PolicyKind::Vrl, "swaptions").expect("known");
         assert_eq!(violations, 0, "the computed MPRSF must never lose data");
     }
 
     #[test]
     fn vrl_access_plan_is_integrity_safe() {
         let e = small();
-        let (_, violations) = e
-            .run_checked(PolicyKind::VrlAccess, "bgsave")
-            .expect("known");
+        let (_, violations) =
+            checked(&e, &Engine::Sim, PolicyKind::VrlAccess, "bgsave").expect("known");
         assert_eq!(violations, 0);
     }
 
@@ -1294,12 +1140,23 @@ mod tests {
             ..Default::default()
         });
         let sched = e.sched_config(4).expect("4 banks");
-        let plain = e
-            .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
-            .expect("known");
-        let (traced, stream) = e
-            .run_scheduled_traced(PolicyKind::VrlAccess, "bgsave", sched)
-            .expect("known");
+        let engine = Engine::Sched(sched);
+        let plain = run(&e, &engine, PolicyKind::VrlAccess, "bgsave").expect("known");
+        let mut recorder = engine.recorder("bgsave", PolicyKind::VrlAccess);
+        let trace = e.trace("bgsave").expect("known");
+        let traced = e
+            .run(
+                &engine,
+                PolicyKind::VrlAccess,
+                trace,
+                0,
+                &mut recorder,
+                |_| {},
+            )
+            .expect("known")
+            .into_sched();
+        let stream = recorder.finish();
+        let plain = plain.into_sched();
         assert_eq!(plain, traced, "recording must not perturb the run");
         assert_eq!(stream.policy, "vrl-access");
         assert!(!stream.events.is_empty());
@@ -1322,9 +1179,9 @@ mod tests {
             ..Default::default()
         });
         let sched = e.sched_config(4).expect("4 banks");
-        let stats = e
-            .run_scheduled(PolicyKind::Vrl, "ferret", sched)
-            .expect("known");
+        let stats = run(&e, &Engine::Sched(sched), PolicyKind::Vrl, "ferret")
+            .expect("known")
+            .into_sched();
         let snap = sched_metrics(&stats);
         assert_eq!(snap.counter("sim.accesses"), stats.sim.accesses);
         assert_eq!(

@@ -16,14 +16,19 @@
 //!   integrity checker verify a plan against the circuit model,
 //! * [`overhead`] — closed-form refresh-overhead accounting,
 //! * [`experiment`] — the end-to-end harness behind the paper's Figure 4
-//!   (trace → simulator → policy → statistics → power), including
-//!   fault-injected runs with the optional runtime guard; the full
+//!   (trace → engine → policy → statistics → power); the full
 //!   (benchmark × policy) matrix fans across the `vrl-exec` worker pool
 //!   with bit-identical results to the serial path,
+//! * [`engine`] — the one engine vocabulary ([`Engine`], [`Outcome`])
+//!   and the one entry point, [`Experiment::run`]: the single-bank
+//!   simulator, the FR-FCFS controller, the multi-bank scheduler (whole,
+//!   per channel, or channel-sharded across a DIMM) and fault-injected
+//!   runs with the optional runtime guard, observed and optionally
+//!   segmented into progress spans ([`spans`]),
 //! * [`checkpoint`] — crash-consistent checkpoint/resume: versioned,
 //!   checksummed snapshots of a run's full engine state written
-//!   atomically on a cycle cadence, resumable bit-identically on every
-//!   front end, plus a matrix-level manifest for interrupted sweeps,
+//!   atomically on a cycle cadence, resumable bit-identically, plus a
+//!   matrix-level manifest for interrupted sweeps,
 //! * [`supervise`] — supervised matrix execution (retry, virtual
 //!   deadline, quarantine, graceful degradation) bridged to typed
 //!   observability events and `exec.*` metrics,
@@ -47,6 +52,7 @@
 
 pub mod checkpoint;
 mod drive;
+pub mod engine;
 pub mod error;
 pub mod experiment;
 pub mod mprsf;
@@ -58,9 +64,8 @@ pub mod supervise;
 pub mod tau;
 pub mod vrt_adapt;
 
-pub use checkpoint::{
-    resume, CheckpointConfig, CheckpointOutcome, FrontEndKind, ResumeReport, ResumedStats,
-};
+pub use checkpoint::{resume, CheckpointConfig, CheckpointOutcome, ResumeReport};
+pub use engine::{Engine, Outcome};
 pub use error::Error;
 pub use experiment::{
     ComparisonRow, DimmRun, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell, PolicyKind,

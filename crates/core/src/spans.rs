@@ -1,25 +1,30 @@
 //! Span-segmented runs with progress callbacks.
 //!
 //! Pausing an engine at a cycle boundary inserts no state change, so a
-//! run driven in spans is bit-identical to one unsegmented run. This
-//! module uses that property for *streaming progress*: `vrl-serve`
-//! drives every job through the `run_*_spanned_with` family so clients
-//! receive per-span cycle counts while the final statistics stay
-//! byte-identical to the plain `run_policy` / `run_frfcfs` /
-//! `run_scheduled` paths (asserted by the tests below and by the serve
-//! bit-identity suite). Plain runs are spanned runs that never pause.
+//! run driven in spans is bit-identical to one unsegmented run.
+//! [`Experiment::run`] uses that property for *streaming progress*:
+//! `vrl-serve` passes the daemon's span cadence, so clients receive
+//! per-span cycle counts while the final statistics stay byte-identical
+//! to a direct, unsegmented run (asserted by the tests below and by the
+//! serve bit-identity suite). Plain runs are spanned runs that never
+//! pause.
+//!
+//! The `run_*_spanned_with` functions are one-line wrappers over
+//! [`Experiment::run`], kept because the benchmark harness
+//! (`perfbench/`) calls them.
 
 use std::ops::ControlFlow;
 
-use vrl_dram_sim::controller::{ControllerStats, FrFcfsController};
-use vrl_dram_sim::sim::{NullObserver, SimConfig, SimObserver, Simulator};
+use vrl_dram_sim::controller::ControllerStats;
+use vrl_dram_sim::sim::{NullObserver, SimObserver};
 use vrl_dram_sim::SimStats;
-use vrl_sched::{SchedConfig, SchedStats, Scheduler};
+use vrl_sched::{SchedConfig, SchedStats};
 use vrl_trace::TraceRecord;
 
 use crate::drive::{drive, SpanEngine};
+use crate::engine::{Engine, EngineRun, Outcome};
 use crate::error::Error;
-use crate::experiment::{with_policy, Experiment, PolicyKind};
+use crate::experiment::{Experiment, PolicyKind};
 
 /// Progress from one completed span of a spanned run: the run paused at
 /// `cycle` with simulation still ahead of it. Emitted only at pauses —
@@ -34,25 +39,54 @@ pub struct SpanProgress {
     pub end: u64,
 }
 
-impl Experiment {
-    /// Drives a fresh `engine` over `trace` to the end of the run,
-    /// pausing every `span_cycles` cycles (`0` = never) to report
-    /// progress to `on_span`.
-    pub(crate) fn run_spanned<E, I, O, F>(
-        &self,
-        engine: E,
+/// Drives a fresh engine over `trace` to the end of the run, pausing
+/// every `span_cycles` cycles (`0` = never) to report progress.
+pub(crate) struct Spanned<'a, I, O, F> {
+    end: u64,
+    trace: I,
+    span_cycles: u64,
+    observer: &'a mut O,
+    on_span: &'a mut F,
+}
+
+impl<'a, I, O, F> Spanned<'a, I, O, F> {
+    pub(crate) fn new(
+        experiment: &Experiment,
         trace: I,
         span_cycles: u64,
-        observer: &mut O,
-        mut on_span: F,
-    ) -> Result<E::Stats, Error>
-    where
-        E: SpanEngine,
-        I: Iterator<Item = TraceRecord>,
-        O: SimObserver,
-        F: FnMut(SpanProgress),
-    {
-        let end = self.config().end_cycle();
+        observer: &'a mut O,
+        on_span: &'a mut F,
+    ) -> Self {
+        Spanned {
+            end: experiment.config().end_cycle(),
+            trace,
+            span_cycles,
+            observer,
+            on_span,
+        }
+    }
+}
+
+impl<I, O, F> EngineRun for Spanned<'_, I, O, F>
+where
+    I: Iterator<Item = TraceRecord>,
+    O: SimObserver,
+    F: FnMut(SpanProgress),
+{
+    type Output = Outcome;
+
+    fn drive<E: SpanEngine>(
+        self,
+        engine: E,
+        wrap: fn(E::Stats) -> Outcome,
+    ) -> Result<Outcome, Error> {
+        let Spanned {
+            end,
+            trace,
+            span_cycles,
+            observer,
+            on_span,
+        } = self;
         let every = Some(span_cycles).filter(|&c| c > 0).unwrap_or(u64::MAX);
         let start = E::Cursor::default();
         let outcome = drive(
@@ -73,34 +107,13 @@ impl Experiment {
                 Ok(ControlFlow::Continue(()))
             },
         )?;
-        Ok(outcome.completed().expect("spanned runs never halt"))
+        Ok(wrap(outcome.completed().expect("spanned runs never halt")))
     }
+}
 
-    /// The single-bank simulator behind [`Experiment::run_policy_with`]
-    /// and [`Experiment::run_policy_spanned_with`].
-    pub(crate) fn run_sim<I, O, F>(
-        &self,
-        kind: PolicyKind,
-        trace: I,
-        span_cycles: u64,
-        observer: &mut O,
-        on_span: F,
-    ) -> SimStats
-    where
-        I: Iterator<Item = TraceRecord>,
-        O: SimObserver,
-        F: FnMut(SpanProgress),
-    {
-        with_policy!(kind, self.plan(), |p| {
-            let sim = Simulator::new(SimConfig::with_rows(self.config().rows), p);
-            self.run_spanned(sim, trace, span_cycles, observer, on_span)
-        })
-        .expect("the single-bank simulator cannot fail")
-    }
-
-    /// [`Experiment::run_policy_with`] segmented into spans of
-    /// `span_cycles` cycles, invoking `on_span` at every pause.
-    /// Bit-identical to the unsegmented run.
+impl Experiment {
+    /// [`Experiment::run`] on [`Engine::Sim`] without an observer,
+    /// returning the simulator's counters. Kept for `perfbench/`.
     pub fn run_policy_spanned_with<I, F>(
         &self,
         kind: PolicyKind,
@@ -109,15 +122,24 @@ impl Experiment {
         on_span: F,
     ) -> SimStats
     where
-        I: Iterator<Item = TraceRecord>,
+        I: Iterator<Item = TraceRecord> + Clone,
         F: FnMut(SpanProgress),
     {
-        self.run_sim(kind, trace, span_cycles, &mut NullObserver, on_span)
+        let outcome = self.run(
+            &Engine::Sim,
+            kind,
+            trace,
+            span_cycles,
+            &mut NullObserver,
+            on_span,
+        );
+        outcome
+            .expect("the single-bank simulator cannot fail")
+            .into_sim()
     }
 
-    /// [`Experiment::run_frfcfs`] over an explicit trace, segmented into
-    /// spans of `span_cycles` cycles, invoking `on_span` at every pause.
-    /// Bit-identical to the unsegmented run.
+    /// [`Experiment::run`] on [`Engine::FrFcfs`] without an observer.
+    /// Kept for `perfbench/`.
     ///
     /// # Errors
     ///
@@ -131,19 +153,23 @@ impl Experiment {
         on_span: F,
     ) -> Result<ControllerStats, Error>
     where
-        I: Iterator<Item = TraceRecord>,
+        I: Iterator<Item = TraceRecord> + Clone,
         F: FnMut(SpanProgress),
     {
-        with_policy!(kind, self.plan(), |p| {
-            let config = SimConfig::with_rows(self.config().rows);
-            let ctl = FrFcfsController::new(config, p, queue_depth)?;
-            self.run_spanned(ctl, trace, span_cycles, &mut NullObserver, on_span)
-        })
+        let engine = Engine::FrFcfs { queue_depth };
+        self.run(
+            &engine,
+            kind,
+            trace,
+            span_cycles,
+            &mut NullObserver,
+            on_span,
+        )
+        .map(Outcome::into_frfcfs)
     }
 
-    /// [`Experiment::run_scheduled_with`] segmented into spans of
-    /// `span_cycles` cycles, invoking `on_span` at every pause.
-    /// Bit-identical to the unsegmented run.
+    /// [`Experiment::run`] on [`Engine::Sched`] without an observer.
+    /// Kept for `perfbench/`.
     ///
     /// # Errors
     ///
@@ -158,20 +184,23 @@ impl Experiment {
         on_span: F,
     ) -> Result<SchedStats, Error>
     where
-        I: Iterator<Item = TraceRecord>,
+        I: Iterator<Item = TraceRecord> + Clone,
         F: FnMut(SpanProgress),
     {
-        with_policy!(kind, self.plan(), |p| {
-            let engine = Scheduler::new(sched, p)?;
-            self.run_spanned(engine, trace, span_cycles, &mut NullObserver, on_span)
-        })
+        let engine = Engine::Sched(sched);
+        self.run(
+            &engine,
+            kind,
+            trace,
+            span_cycles,
+            &mut NullObserver,
+            on_span,
+        )
+        .map(Outcome::into_sched)
     }
 
-    /// One channel shard of a full-DIMM run, segmented into spans —
-    /// the spanned analogue of [`Experiment::run_dimm_channel`] minus
-    /// the event recorder. Merging every channel's stats with
-    /// [`SchedStats::merge`] is bit-identical to
-    /// [`Experiment::run_dimm_serial`].
+    /// [`Experiment::run`] on one [`Engine::Channel`] shard without an
+    /// observer. Kept for `perfbench/`.
     ///
     /// # Errors
     ///
@@ -187,13 +216,19 @@ impl Experiment {
         on_span: F,
     ) -> Result<SchedStats, Error>
     where
-        I: Iterator<Item = TraceRecord>,
+        I: Iterator<Item = TraceRecord> + Clone,
         F: FnMut(SpanProgress),
     {
-        with_policy!(kind, self.plan(), |p| {
-            let engine = Scheduler::for_channel(sched, p, channel)?;
-            self.run_spanned(engine, trace, span_cycles, &mut NullObserver, on_span)
-        })
+        let engine = Engine::Channel { sched, channel };
+        self.run(
+            &engine,
+            kind,
+            trace,
+            span_cycles,
+            &mut NullObserver,
+            on_span,
+        )
+        .map(Outcome::into_sched)
     }
 }
 
@@ -205,95 +240,52 @@ mod tests {
     fn small() -> Experiment {
         Experiment::new(ExperimentConfig {
             rows: 256,
-            duration_ms: 192.0,
+            duration_ms: 96.0,
             ..Default::default()
         })
     }
 
     #[test]
-    fn spanned_sim_is_bit_identical_and_reports_progress() {
+    fn spanned_runs_are_bit_identical_on_every_engine() {
         let e = small();
-        for kind in PolicyKind::ALL {
-            let plain = e.run_policy(kind, "swaptions").unwrap();
-            let trace = e.materialize_trace("swaptions").unwrap();
-            let mut spans = Vec::new();
-            let spanned =
-                e.run_policy_spanned_with(kind, trace.iter().copied(), 500_000, |p| spans.push(p));
-            assert_eq!(spanned, plain, "{kind:?} spanned run must be bit-identical");
-            assert!(!spans.is_empty(), "a multi-span run reports progress");
-            assert!(spans.windows(2).all(|w| w[0].cycle < w[1].cycle));
-            assert!(spans.iter().all(|p| p.cycle < p.end));
-        }
-    }
-
-    #[test]
-    fn spanned_frfcfs_is_bit_identical() {
-        let e = small();
-        let plain = e.run_frfcfs(PolicyKind::Vrl, "canneal", 8).unwrap();
-        let trace = e.materialize_trace("canneal").unwrap();
-        let mut spans = 0;
-        let spanned = e
-            .run_frfcfs_spanned_with(PolicyKind::Vrl, trace.iter().copied(), 8, 400_000, |_| {
-                spans += 1;
-            })
-            .unwrap();
-        assert_eq!(spanned, plain);
-        assert!(spans > 0);
-    }
-
-    #[test]
-    fn spanned_sched_is_bit_identical() {
-        let e = small();
-        let sched = e.sched_config(4).unwrap();
-        let plain = e
-            .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
-            .unwrap();
         let trace = e.materialize_trace("bgsave").unwrap();
-        let spanned = e
-            .run_scheduled_spanned_with(
-                PolicyKind::VrlAccess,
-                sched,
-                trace.iter().copied(),
-                300_000,
-                |_| {},
-            )
-            .unwrap();
-        assert_eq!(spanned, plain);
-    }
-
-    #[test]
-    fn spanned_dimm_channels_merge_to_the_serial_dimm_run() {
-        let e = small();
-        let sched = e.dimm_config(2, 1, 2).unwrap();
-        let direct = e.run_dimm_serial(PolicyKind::Vrl, "ferret", sched).unwrap();
-        let trace = e.materialize_trace("ferret").unwrap();
-        let mut merged = SchedStats::default();
-        for channel in 0..sched.channels() {
-            let shard = e
-                .run_dimm_channel_spanned_with(
-                    PolicyKind::Vrl,
-                    sched,
-                    channel,
-                    trace.iter().copied(),
-                    250_000,
-                    |_| {},
-                )
-                .unwrap();
-            merged = merged.merge(&shard);
+        let engines = [
+            Engine::Sim,
+            Engine::FrFcfs { queue_depth: 8 },
+            Engine::Sched(e.sched_config(4).unwrap()),
+            Engine::Dimm(e.dimm_config(2, 1, 2).unwrap()),
+        ];
+        for engine in &engines {
+            for kind in PolicyKind::ALL {
+                // Streamed and unsegmented.
+                let streamed = e.trace("bgsave").unwrap();
+                let mut pauses = 0;
+                let plain = e.run(engine, kind, streamed, 0, &mut NullObserver, |_| {
+                    pauses += 1
+                });
+                let mut spans = Vec::new();
+                let records = trace.iter().copied();
+                let spanned = e.run(engine, kind, records, 300_000, &mut NullObserver, |p| {
+                    spans.push(p);
+                });
+                let name = engine.name();
+                assert_eq!(
+                    spanned, plain,
+                    "{name} {kind:?} spanned run must be bit-identical"
+                );
+                assert!(!spans.is_empty(), "a multi-span run reports progress");
+                // Spans advance, restarting only at each DIMM channel.
+                assert!(spans
+                    .windows(2)
+                    .all(|w| w[0].cycle < w[1].cycle || w[1].span == 1));
+                // Pauses come with simulation still ahead — except that the
+                // FR-FCFS controller also reports one at the end cycle.
+                if !matches!(engine, Engine::FrFcfs { .. }) {
+                    assert_eq!(pauses, 0, "{name}: a zero cadence never pauses");
+                    assert!(spans.iter().all(|p| p.cycle < p.end));
+                }
+            }
         }
-        assert_eq!(merged, direct.stats);
-    }
-
-    #[test]
-    fn zero_cadence_means_one_span_and_no_callbacks() {
-        let e = small();
-        let plain = e.run_policy(PolicyKind::Raidr, "swaptions").unwrap();
-        let trace = e.materialize_trace("swaptions").unwrap();
-        let spanned =
-            e.run_policy_spanned_with(PolicyKind::Raidr, trace.iter().copied(), 0, |_| {
-                panic!("no pauses expected")
-            });
-        assert_eq!(spanned, plain);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 
 use vrl_circuit::model::AnalyticalModel;
 use vrl_dram_sim::integrity::IntegrityChecker;
-use vrl_dram_sim::sim::{SimConfig, Simulator};
 use vrl_dram_sim::timing::TimingParams;
 use vrl_retention::profile::BankProfile;
 use vrl_retention::vrt::VrtProcess;
 
+use crate::engine::simulator;
 use crate::physics::ModelPhysics;
 use crate::plan::RefreshPlan;
 
@@ -132,7 +132,7 @@ pub fn run_under_vrt(
         .map(|(row, p)| p.as_ref().map_or(row.weakest_ms, |p| p.retention_ms()))
         .collect();
     let mut checker = IntegrityChecker::new(ModelPhysics::new(model), timing, retention);
-    let mut sim = Simulator::new(SimConfig::with_rows(profile.row_count() as u32), plan.vrl());
+    let mut sim = simulator(profile.row_count() as u32, plan.vrl());
 
     let mut refresh_busy = 0u64;
     let mut toggles = 0usize;

@@ -7,9 +7,10 @@
 
 use std::path::PathBuf;
 
-use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome, FrontEndKind, ResumedStats};
+use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome};
+use vrl_dram::dram_sim::sim::NullObserver;
 use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
-use vrl_dram::Error;
+use vrl_dram::{Engine, Error, Outcome};
 
 fn experiment() -> Experiment {
     Experiment::new(ExperimentConfig {
@@ -17,6 +18,18 @@ fn experiment() -> Experiment {
         duration_ms: 64.0,
         ..Default::default()
     })
+}
+
+/// An uninterrupted run of `policy` on `engine` over `benchmark`.
+fn uninterrupted(
+    exp: &Experiment,
+    engine: &Engine,
+    policy: PolicyKind,
+    benchmark: &str,
+) -> Outcome {
+    let trace = exp.trace(benchmark).expect("known benchmark");
+    exp.run(engine, policy, trace, 0, &mut NullObserver, |_| {})
+        .expect("reference run")
 }
 
 /// A per-test scratch file under the target-adjacent temp dir, removed
@@ -52,19 +65,26 @@ fn sim_resume_is_bit_identical_at_arbitrary_kill_cycles() {
         let scratch = Scratch::new(&format!("sim-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_policy_checkpointed(PolicyKind::VrlAccess, "swaptions", &ckpt)
-            .expect("checkpointed run");
+            .run_checkpointed(
+                &Engine::Sim,
+                PolicyKind::VrlAccess,
+                "swaptions",
+                &ckpt,
+                false,
+            )
+            .expect("checkpointed run")
+            .0;
         assert_eq!(
             halted,
             CheckpointOutcome::Halted { checkpoints: 1 },
             "cadence {cadence} must halt mid-run"
         );
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::Sim);
+        assert_eq!(report.engine, Engine::Sim);
         assert_eq!(report.benchmark, "swaptions");
         assert_eq!(report.policy, PolicyKind::VrlAccess);
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sim(stats)) => {
+            CheckpointOutcome::Completed(Outcome::Sim(stats)) => {
                 assert_eq!(stats, reference, "kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed sim stats, got {other:?}"),
@@ -76,20 +96,20 @@ fn sim_resume_is_bit_identical_at_arbitrary_kill_cycles() {
 fn frfcfs_resume_is_bit_identical_at_arbitrary_kill_cycles() {
     let exp = experiment();
     let queue_depth = exp.sched_config(4).expect("sched config").queue_depth;
-    let reference = exp
-        .run_frfcfs(PolicyKind::Vrl, "ferret", queue_depth)
-        .expect("reference run");
+    let engine = Engine::FrFcfs { queue_depth };
+    let reference = uninterrupted(&exp, &engine, PolicyKind::Vrl, "ferret");
     for (i, cadence) in KILL_CADENCES.into_iter().enumerate() {
         let scratch = Scratch::new(&format!("frfcfs-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_frfcfs_checkpointed(PolicyKind::Vrl, "ferret", queue_depth, &ckpt)
-            .expect("checkpointed run");
+            .run_checkpointed(&engine, PolicyKind::Vrl, "ferret", &ckpt, false)
+            .expect("checkpointed run")
+            .0;
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::FrFcfs);
+        assert_eq!(report.engine, engine);
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::FrFcfs(stats)) => {
+            CheckpointOutcome::Completed(stats @ Outcome::FrFcfs(_)) => {
                 assert_eq!(stats, reference, "kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed controller stats, got {other:?}"),
@@ -100,21 +120,20 @@ fn frfcfs_resume_is_bit_identical_at_arbitrary_kill_cycles() {
 #[test]
 fn sched_resume_is_bit_identical_at_arbitrary_kill_cycles() {
     let exp = experiment();
-    let sched = exp.sched_config(4).expect("sched config");
-    let reference = exp
-        .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
-        .expect("reference run");
+    let sched = Engine::Sched(exp.sched_config(4).expect("sched config"));
+    let reference = uninterrupted(&exp, &sched, PolicyKind::VrlAccess, "bgsave");
     for (i, cadence) in KILL_CADENCES.into_iter().enumerate() {
         let scratch = Scratch::new(&format!("sched-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_scheduled_checkpointed(PolicyKind::VrlAccess, "bgsave", sched, &ckpt)
-            .expect("checkpointed run");
+            .run_checkpointed(&sched, PolicyKind::VrlAccess, "bgsave", &ckpt, false)
+            .expect("checkpointed run")
+            .0;
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::Sched);
+        assert_eq!(report.engine, sched);
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+            CheckpointOutcome::Completed(stats @ Outcome::Sched(_)) => {
                 assert_eq!(stats, reference, "kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -128,21 +147,20 @@ fn dimm_sched_resume_is_bit_identical_at_arbitrary_kill_cycles() {
     // per-rank bus state, and the struct-of-arrays bank state in the
     // snapshot path.
     let exp = experiment();
-    let sched = exp.dimm_config(2, 2, 4).expect("dimm config");
-    let reference = exp
-        .run_scheduled(PolicyKind::VrlAccess, "bgsave", sched)
-        .expect("reference run");
+    let sched = Engine::Sched(exp.dimm_config(2, 2, 4).expect("dimm config"));
+    let reference = uninterrupted(&exp, &sched, PolicyKind::VrlAccess, "bgsave");
     for (i, cadence) in KILL_CADENCES.into_iter().enumerate() {
         let scratch = Scratch::new(&format!("dimm-{i}"));
         let ckpt = CheckpointConfig::new(&scratch.0, cadence).with_halt_after(1);
         let halted = exp
-            .run_scheduled_checkpointed(PolicyKind::VrlAccess, "bgsave", sched, &ckpt)
-            .expect("checkpointed run");
+            .run_checkpointed(&sched, PolicyKind::VrlAccess, "bgsave", &ckpt, false)
+            .expect("checkpointed run")
+            .0;
         assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
         let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
-        assert_eq!(report.front_end, FrontEndKind::Sched);
+        assert_eq!(report.engine, sched);
         match report.outcome {
-            CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+            CheckpointOutcome::Completed(stats @ Outcome::Sched(_)) => {
                 assert_eq!(stats, reference, "DIMM kill at cycle {cadence} diverged");
             }
             other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -156,15 +174,14 @@ fn resume_survives_multiple_kills_in_one_run() {
     // kill again at the next, and resume to completion — the final
     // stats must still match the uninterrupted run.
     let exp = experiment();
-    let sched = exp.sched_config(4).expect("sched config");
-    let reference = exp
-        .run_scheduled(PolicyKind::Vrl, "swaptions", sched)
-        .expect("reference run");
+    let sched = Engine::Sched(exp.sched_config(4).expect("sched config"));
+    let reference = uninterrupted(&exp, &sched, PolicyKind::Vrl, "swaptions");
     let scratch = Scratch::new("multi-kill");
     let ckpt = CheckpointConfig::new(&scratch.0, 9_000_000).with_halt_after(1);
     let halted = exp
-        .run_scheduled_checkpointed(PolicyKind::Vrl, "swaptions", sched, &ckpt)
-        .expect("first leg");
+        .run_checkpointed(&sched, PolicyKind::Vrl, "swaptions", &ckpt, false)
+        .expect("first leg")
+        .0;
     assert_eq!(halted, CheckpointOutcome::Halted { checkpoints: 1 });
     let report = vrl_dram::checkpoint::resume(&scratch.0, Some(&ckpt)).expect("second leg");
     assert!(
@@ -174,7 +191,7 @@ fn resume_survives_multiple_kills_in_one_run() {
     );
     let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("final leg");
     match report.outcome {
-        CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+        CheckpointOutcome::Completed(stats @ Outcome::Sched(_)) => {
             assert_eq!(stats, reference);
         }
         other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -184,15 +201,25 @@ fn resume_survives_multiple_kills_in_one_run() {
 #[test]
 fn traced_resume_reproduces_the_identical_event_stream() {
     let exp = experiment();
-    let sched = exp.sched_config(4).expect("sched config");
-    let (ref_stats, ref_stream) = exp
-        .run_scheduled_traced(PolicyKind::VrlAccess, "ferret", sched)
-        .expect("reference traced run");
+    let engine = Engine::Sched(exp.sched_config(4).expect("sched config"));
+    let mut recorder = engine.recorder("ferret", PolicyKind::VrlAccess);
+    let trace = exp.trace("ferret").expect("known benchmark");
+    let ref_stats = exp.run(
+        &engine,
+        PolicyKind::VrlAccess,
+        trace,
+        0,
+        &mut recorder,
+        |_| {},
+    );
+    let ref_stats = ref_stats.expect("reference traced run");
+    let ref_stream = recorder.finish();
     let scratch = Scratch::new("traced");
     let ckpt = CheckpointConfig::new(&scratch.0, 13_000_000).with_halt_after(1);
     let halted = exp
-        .run_scheduled_traced_checkpointed(PolicyKind::VrlAccess, "ferret", sched, &ckpt)
-        .expect("checkpointed traced run");
+        .run_checkpointed(&engine, PolicyKind::VrlAccess, "ferret", &ckpt, true)
+        .expect("checkpointed traced run")
+        .0;
     assert!(matches!(
         halted,
         CheckpointOutcome::Halted { checkpoints: 1 }
@@ -200,7 +227,7 @@ fn traced_resume_reproduces_the_identical_event_stream() {
     let report = vrl_dram::checkpoint::resume(&scratch.0, None).expect("resume");
     let stream = report.events.expect("traced snapshot resumes with events");
     match report.outcome {
-        CheckpointOutcome::Completed(ResumedStats::Sched(stats)) => {
+        CheckpointOutcome::Completed(stats @ Outcome::Sched(_)) => {
             assert_eq!(stats, ref_stats);
         }
         other => panic!("expected completed scheduler stats, got {other:?}"),
@@ -216,7 +243,7 @@ fn corrupt_snapshots_are_typed_errors() {
     let exp = experiment();
     let scratch = Scratch::new("corrupt");
     let ckpt = CheckpointConfig::new(&scratch.0, 5_000_000).with_halt_after(1);
-    exp.run_policy_checkpointed(PolicyKind::Vrl, "swaptions", &ckpt)
+    exp.run_checkpointed(&Engine::Sim, PolicyKind::Vrl, "swaptions", &ckpt, false)
         .expect("checkpointed run");
     let good = std::fs::read(&scratch.0).expect("snapshot bytes");
 
@@ -254,7 +281,7 @@ fn zero_cadence_is_rejected() {
     let scratch = Scratch::new("zero");
     let ckpt = CheckpointConfig::new(&scratch.0, 0);
     assert!(matches!(
-        exp.run_policy_checkpointed(PolicyKind::Vrl, "swaptions", &ckpt),
+        exp.run_checkpointed(&Engine::Sim, PolicyKind::Vrl, "swaptions", &ckpt, false),
         Err(Error::Snapshot(vrl_snap::SnapError::Malformed { .. }))
     ));
 }

@@ -39,7 +39,10 @@ fn policy_ordering_holds_end_to_end() {
 fn all_policies_are_integrity_safe_under_traffic() {
     let e = experiment();
     for kind in [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess] {
-        let (_, violations) = e.run_checked(kind, "streamcluster").expect("known");
+        let mut checker = e.integrity_checker(e.profiled_retention());
+        let trace = e.trace("streamcluster").expect("known");
+        e.run_policy_with(kind, trace, &mut checker);
+        let violations = checker.violations().len();
         assert_eq!(violations, 0, "{} violated data integrity", kind.name());
     }
 }

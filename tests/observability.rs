@@ -4,7 +4,10 @@
 //! rich event vocabulary.
 
 use vrl::core::experiment::{sched_metrics, Experiment, ExperimentConfig, PolicyKind};
-use vrl::obs::{chrome_trace_json, merge_streams, validate_chrome_trace, EventKind, NopObserver};
+use vrl::core::{Engine, Outcome};
+use vrl::obs::{
+    chrome_trace_json, merge_streams, validate_chrome_trace, EventKind, EventStream, NopObserver,
+};
 
 fn experiment() -> Experiment {
     Experiment::new(ExperimentConfig {
@@ -14,17 +17,31 @@ fn experiment() -> Experiment {
     })
 }
 
+/// Runs `policy` on `engine` over `benchmark` while recording its
+/// event stream.
+fn traced(
+    e: &Experiment,
+    engine: &Engine,
+    policy: PolicyKind,
+    benchmark: &str,
+) -> (Outcome, EventStream) {
+    let mut recorder = engine.recorder(benchmark, policy);
+    let trace = e.trace(benchmark).expect("known");
+    let outcome = e.run(engine, policy, trace, 0, &mut recorder, |_| {});
+    (outcome.expect("runs"), recorder.finish())
+}
+
 /// Observability off must equal observability on, bit for bit — the
 /// `NopObserver` hooks are default no-ops that monomorphise away, and
 /// the `Recorder` only copies values it is handed.
 #[test]
 fn nop_observer_is_bit_identical_to_recording() {
     let e = experiment();
-    let sched = e.sched_config(4).expect("4 banks");
+    let sched = Engine::Sched(e.sched_config(4).expect("4 banks"));
     for kind in [PolicyKind::Vrl, PolicyKind::VrlAccess] {
         // Single-bank front end.
-        let off = e.run_policy(kind, "x264").expect("known");
-        let (on, _) = e.run_policy_traced(kind, "x264").expect("known");
+        let off = Outcome::Sim(e.run_policy(kind, "x264").expect("known"));
+        let (on, _) = traced(&e, &Engine::Sim, kind, "x264");
         assert_eq!(off, on, "{}: single-bank run diverged", kind.name());
 
         // Scheduler front end, explicit NopObserver vs Recorder.
@@ -33,9 +50,16 @@ fn nop_observer_is_bit_identical_to_recording() {
             vrl::trace::Workload::new(spec, 256, e.config().seed)
         };
         let off = e
-            .run_scheduled_with(kind, sched, trace.records(256.0), &mut NopObserver)
+            .run(
+                &sched,
+                kind,
+                trace.records(256.0),
+                0,
+                &mut NopObserver,
+                |_| {},
+            )
             .expect("runs");
-        let (on, stream) = e.run_scheduled_traced(kind, "x264", sched).expect("known");
+        let (on, stream) = traced(&e, &sched, kind, "x264");
         assert_eq!(off, on, "{}: scheduled run diverged", kind.name());
         assert!(!stream.events.is_empty(), "recording must capture events");
     }
@@ -48,9 +72,11 @@ fn nop_observer_is_bit_identical_to_recording() {
 fn bgsave_trace_exports_at_least_four_event_kinds() {
     let e = experiment();
     let sched = e.sched_config(4).expect("4 banks");
-    let (stats, stream) = e
-        .run_scheduled_traced(PolicyKind::VrlAccess, "bgsave", sched)
-        .expect("known");
+    let (Outcome::Sched(stats), stream) =
+        traced(&e, &Engine::Sched(sched), PolicyKind::VrlAccess, "bgsave")
+    else {
+        panic!("the scheduler yields scheduler stats");
+    };
     let json = chrome_trace_json(
         &stream.events,
         &stream.label,
@@ -94,11 +120,7 @@ fn merged_streams_export_to_a_valid_trace() {
     let sched = e.sched_config(4).expect("4 banks");
     let streams: Vec<_> = ["ferret", "x264"]
         .iter()
-        .map(|b| {
-            e.run_scheduled_traced(PolicyKind::Vrl, b, sched)
-                .expect("known")
-                .1
-        })
+        .map(|b| traced(&e, &Engine::Sched(sched), PolicyKind::Vrl, b).1)
         .collect();
     let merged = merge_streams(&streams);
     assert!(merged.len() > streams.iter().map(|s| s.events.len()).max().unwrap());

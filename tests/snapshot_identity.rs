@@ -12,6 +12,7 @@
 
 use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome};
 use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::Engine;
 
 /// `(run, fnv1a64)` of the file each run below leaves when it halts at
 /// its first checkpoint, cycle 3 M of a 256-row, 16 ms experiment.
@@ -54,11 +55,38 @@ fn halted_snapshot_bytes_are_pinned() {
         let ckpt = CheckpointConfig::new(&path, 3_000_000).with_halt_after(1);
         let (vrl, vrl_access) = (PolicyKind::Vrl, PolicyKind::VrlAccess);
         let halted = match run {
-            "sim" => halted(e.run_policy_checkpointed(vrl_access, "ferret", &ckpt)),
-            "frfcfs" => halted(e.run_frfcfs_checkpointed(vrl, "canneal", 8, &ckpt)),
-            "sched" => halted(e.run_scheduled_checkpointed(vrl_access, "bgsave", sched, &ckpt)),
-            "traced" => halted(e.run_scheduled_traced_checkpointed(vrl, "ferret", sched, &ckpt)),
-            _ => halted(e.run_scheduled_checkpointed(PolicyKind::Raidr, "swaptions", dimm, &ckpt)),
+            "sim" => halted(
+                e.run_checkpointed(&Engine::Sim, vrl_access, "ferret", &ckpt, false)
+                    .map(|(outcome, _)| outcome),
+            ),
+            "frfcfs" => halted(
+                e.run_checkpointed(
+                    &Engine::FrFcfs { queue_depth: 8 },
+                    vrl,
+                    "canneal",
+                    &ckpt,
+                    false,
+                )
+                .map(|(outcome, _)| outcome),
+            ),
+            "sched" => halted(
+                e.run_checkpointed(&Engine::Sched(sched), vrl_access, "bgsave", &ckpt, false)
+                    .map(|(outcome, _)| outcome),
+            ),
+            "traced" => halted(
+                e.run_checkpointed(&Engine::Sched(sched), vrl, "ferret", &ckpt, true)
+                    .map(|(outcome, _)| outcome),
+            ),
+            _ => halted(
+                e.run_checkpointed(
+                    &Engine::Sched(dimm),
+                    PolicyKind::Raidr,
+                    "swaptions",
+                    &ckpt,
+                    false,
+                )
+                .map(|(outcome, _)| outcome),
+            ),
         };
         assert!(halted, "{run}: the run must halt at its first checkpoint");
         let bytes = std::fs::read(&path).expect("snapshot file");
