@@ -333,6 +333,9 @@ impl<P: RefreshPolicy> FrFcfsController<P> {
         Some(0)
     }
 
+    // One call site each, in `run_span_observed`'s loop: forced inline,
+    // as in the scheduler's loop, whatever the caller's codegen units.
+    #[inline(always)]
     fn execute_refresh<O: SimObserver>(&mut self, due: u64, row: u32, now: u64, observer: &mut O) {
         let start = self.bank.ready_at(now.max(due));
         let mut duration = 0;
@@ -355,6 +358,7 @@ impl<P: RefreshPolicy> FrFcfsController<P> {
         self.refresh_queue.push(next, row, next);
     }
 
+    #[inline(always)]
     fn service<O: SimObserver>(&mut self, record: TraceRecord, now: u64, observer: &mut O) {
         let row = record.row % self.config.rows;
         let start = self.bank.ready_at(now.max(record.cycle));

@@ -435,7 +435,9 @@ impl<P: RefreshPolicy> Simulator<P> {
         }
     }
 
-    /// Services one trace access.
+    /// Services one trace access (one call site per instantiation, in a
+    /// hot loop: forced inline, as in the scheduler's loop).
+    #[inline(always)]
     fn service_access<O: SimObserver>(&mut self, record: TraceRecord, observer: &mut O) {
         let row = record.row % self.config.rows;
         let start = self.bank.ready_at(record.cycle);

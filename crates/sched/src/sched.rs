@@ -719,7 +719,9 @@ impl<P: RefreshPolicy> Scheduler<P> {
 
     /// Runs channel `c`'s scheduling loop until its clock reaches
     /// `span_end` (returning `true`) or its work before `end` is
-    /// exhausted (returning `false`).
+    /// exhausted (returning `false`). Its single-call helpers are
+    /// `#[inline(always)]`: left to the inliner, inlining them depended on
+    /// the calling crate's codegen units, and served jobs ran ~15 % slower.
     #[allow(clippy::too_many_arguments)]
     fn run_channel_span<I, O>(
         &mut self,
@@ -851,6 +853,7 @@ impl<P: RefreshPolicy> Scheduler<P> {
     ///   the refresh scan is skipped. With no other candidate the scan
     ///   always runs: it decides between waking for a refresh and
     ///   finishing. A scan leaves the exact minimum in `due_bound[c]`.
+    #[inline(always)]
     fn advance_target(
         &mut self,
         c: usize,
@@ -1006,6 +1009,7 @@ impl<P: RefreshPolicy> Scheduler<P> {
     /// on, a due refresh whose bank has queued demand is postponed
     /// while the elasticity window allows, and executes regardless once
     /// the window is exhausted (bounding staleness).
+    #[inline(always)]
     fn try_refresh<O: SimObserver>(
         &mut self,
         c: usize,
@@ -1086,6 +1090,7 @@ impl<P: RefreshPolicy> Scheduler<P> {
     /// occupies the bank just as new demand lands, and the queueing
     /// backlog amplifies those few cycles into far more stall than the
     /// deferred refresh would ever have cost.
+    #[inline(always)]
     fn try_pull_in<O: SimObserver>(
         &mut self,
         c: usize,
@@ -1133,6 +1138,7 @@ impl<P: RefreshPolicy> Scheduler<P> {
 
     /// FR-FCFS over requests whose bank is free at `now`: the oldest
     /// hitting its bank's open row, else the oldest — in one pass.
+    #[inline(always)]
     fn pick(&self, queue: &VecDeque<Pending>, now: u64) -> Option<usize> {
         let mut oldest_free = None;
         for (idx, p) in queue.iter().enumerate() {
@@ -1221,6 +1227,7 @@ impl<P: RefreshPolicy> Scheduler<P> {
 
     /// Services one queued request on its (free) bank, honoring the
     /// inter-bank activate and data-bus constraints.
+    #[inline(always)]
     fn service<O: SimObserver>(&mut self, c: usize, pending: Pending, now: u64, observer: &mut O) {
         let timing = self.config.timing;
         let bank = pending.bank as usize - self.bank_offset;
