@@ -446,11 +446,12 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Snapshot`] for a zero cadence, an engine other
-    /// than [`Engine::Sim`], [`Engine::FrFcfs`] and [`Engine::Sched`]
-    /// (the others have no checkpoint seam), or a failed write;
-    /// [`Error::UnknownWorkload`] for an unknown benchmark; and
-    /// [`Error::Sim`] for an engine configuration failure.
+    /// Returns [`Error::NotCheckpointable`] for an engine other than
+    /// [`Engine::Sim`], [`Engine::FrFcfs`] and [`Engine::Sched`] (the
+    /// others have no checkpoint seam); [`Error::Snapshot`] for a zero
+    /// cadence or a failed write; [`Error::UnknownWorkload`] for an
+    /// unknown benchmark; and [`Error::Sim`] for an engine configuration
+    /// failure.
     pub fn run_checkpointed(
         &self,
         engine: &Engine,
@@ -464,9 +465,9 @@ impl Experiment {
             engine,
             Engine::Sim | Engine::FrFcfs { .. } | Engine::Sched(_)
         ) {
-            return Err(Error::Snapshot(SnapError::Malformed {
-                what: format!("the {} engine cannot be checkpointed", engine.name()),
-            }));
+            return Err(Error::NotCheckpointable {
+                engine: engine.name(),
+            });
         }
         let header = Header {
             engine: *engine,

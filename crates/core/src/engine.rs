@@ -99,26 +99,39 @@ pub enum Outcome {
     Faulted(FaultedOutcome),
 }
 
-/// `Outcome::$into`: the statistics of a run whose engine yields
-/// `$variant` — an invariant of [`Experiment::build`], never of input.
-macro_rules! into_stats {
-    ($($into:ident: $variant:ident($stats:ty)),+) => {$(
-        pub(crate) fn $into(self) -> $stats {
-            match self {
-                Outcome::$variant(stats) => stats,
-                _ => unreachable!(concat!("engine/outcome mismatch: ", stringify!($variant))),
-            }
-        }
-    )+};
-}
-
 impl Outcome {
-    into_stats!(
-        into_sim: Sim(SimStats),
-        into_frfcfs: FrFcfs(ControllerStats),
-        into_sched: Sched(SchedStats),
-        into_faulted: Faulted(FaultedOutcome)
-    );
+    /// The simulator's statistics; the engine was [`Engine::Sim`].
+    pub(crate) fn into_sim(self) -> SimStats {
+        match self {
+            Outcome::Sim(stats) => stats,
+            _ => unreachable!("engine/outcome mismatch: Sim"),
+        }
+    }
+
+    /// The controller's statistics; the engine was [`Engine::FrFcfs`].
+    pub(crate) fn into_frfcfs(self) -> ControllerStats {
+        match self {
+            Outcome::FrFcfs(stats) => stats,
+            _ => unreachable!("engine/outcome mismatch: FrFcfs"),
+        }
+    }
+
+    /// The scheduler's statistics; the engine was [`Engine::Sched`],
+    /// [`Engine::Dimm`] or [`Engine::Channel`].
+    pub(crate) fn into_sched(self) -> SchedStats {
+        match self {
+            Outcome::Sched(stats) => stats,
+            _ => unreachable!("engine/outcome mismatch: Sched"),
+        }
+    }
+
+    /// The faulted run's outcome; the engine was [`Engine::Faulted`].
+    pub(crate) fn into_faulted(self) -> FaultedOutcome {
+        match self {
+            Outcome::Faulted(outcome) => outcome,
+            _ => unreachable!("engine/outcome mismatch: Faulted"),
+        }
+    }
 
     /// The single-bank counters every engine reports: the run's own for
     /// the simulator, the embedded base counters for the others.
@@ -177,14 +190,14 @@ impl Experiment {
                 Ok(Outcome::Faulted(self.faulted(policy, trace, faults, guard)))
             }
             Engine::Dimm(sched) => {
-                let mut merged = SchedStats::default();
+                let mut shards = Vec::new();
                 for channel in 0..sched.channels() {
                     let shard = Engine::Channel { sched, channel };
                     let run =
                         Spanned::new(self, trace.clone(), span_cycles, observer, &mut on_span);
-                    merged = merged.merge(&self.build(&shard, policy, run)?.into_sched());
+                    shards.push(self.build(&shard, policy, run)?.into_sched());
                 }
-                Ok(Outcome::Sched(merged))
+                Ok(Outcome::Sched(merge_shards(shards)))
             }
             _ => {
                 let run = Spanned::new(self, trace, span_cycles, observer, &mut on_span);
@@ -269,4 +282,13 @@ impl Experiment {
 /// single-bank engine the crate builds.
 pub(crate) fn simulator<P: RefreshPolicy>(rows: u32, policy: P) -> Simulator<P> {
     Simulator::new(SimConfig::with_rows(rows), policy)
+}
+
+/// The statistics of a whole DIMM from its per-channel shards' — every
+/// sharded DIMM run ([`Engine::Dimm`], [`Experiment::run_dimm_with`])
+/// merges here.
+pub(crate) fn merge_shards(shards: impl IntoIterator<Item = SchedStats>) -> SchedStats {
+    shards
+        .into_iter()
+        .fold(SchedStats::default(), |all, shard| all.merge(&shard))
 }

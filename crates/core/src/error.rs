@@ -37,6 +37,13 @@ pub enum Error {
         /// What differed between the checkpoint and this invocation.
         what: String,
     },
+    /// A checkpointed run was asked of an engine without a checkpoint
+    /// seam (only the simulator, FR-FCFS and scheduler engines have
+    /// one).
+    NotCheckpointable {
+        /// The engine's display name.
+        engine: &'static str,
+    },
 }
 
 impl fmt::Display for Error {
@@ -60,6 +67,9 @@ impl fmt::Display for Error {
             Error::ResumeMismatch { what } => {
                 write!(f, "checkpoint belongs to a different run: {what}")
             }
+            Error::NotCheckpointable { engine } => {
+                write!(f, "the {engine} engine cannot be checkpointed")
+            }
         }
     }
 }
@@ -72,7 +82,8 @@ impl std::error::Error for Error {
             Error::UnknownWorkload { .. }
             | Error::WorkerPanic { .. }
             | Error::JobLost { .. }
-            | Error::ResumeMismatch { .. } => None,
+            | Error::ResumeMismatch { .. }
+            | Error::NotCheckpointable { .. } => None,
         }
     }
 }

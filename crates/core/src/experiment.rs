@@ -30,7 +30,7 @@ use vrl_retention::profile::BankProfile;
 use vrl_sched::{SchedConfig, SchedStats};
 use vrl_trace::{TraceRecord, Workload, WorkloadSpec};
 
-use crate::engine::Engine;
+use crate::engine::{merge_shards, Engine};
 use crate::error::Error;
 use crate::physics::ModelPhysics;
 use crate::plan::RefreshPlan;
@@ -561,10 +561,10 @@ impl Experiment {
         })
         .map_err(Error::from)?;
         let (stats, streams): (Vec<SchedStats>, _) = shards.into_iter().unzip();
-        let stats = stats
-            .iter()
-            .fold(SchedStats::default(), |all, s| all.merge(s));
-        Ok(DimmRun { stats, streams })
+        Ok(DimmRun {
+            stats: merge_shards(stats),
+            streams,
+        })
     }
 
     /// The scheduler-front-end (benchmark × policy) matrix through the

@@ -240,52 +240,123 @@ mod tests {
     fn small() -> Experiment {
         Experiment::new(ExperimentConfig {
             rows: 256,
-            duration_ms: 96.0,
+            duration_ms: 192.0,
             ..Default::default()
         })
     }
 
     #[test]
-    fn spanned_runs_are_bit_identical_on_every_engine() {
+    fn spanned_sim_is_bit_identical_and_reports_progress() {
         let e = small();
-        let trace = e.materialize_trace("bgsave").unwrap();
-        let engines = [
-            Engine::Sim,
-            Engine::FrFcfs { queue_depth: 8 },
-            Engine::Sched(e.sched_config(4).unwrap()),
-            Engine::Dimm(e.dimm_config(2, 1, 2).unwrap()),
-        ];
-        for engine in &engines {
-            for kind in PolicyKind::ALL {
-                // Streamed and unsegmented.
-                let streamed = e.trace("bgsave").unwrap();
-                let mut pauses = 0;
-                let plain = e.run(engine, kind, streamed, 0, &mut NullObserver, |_| {
-                    pauses += 1
-                });
-                let mut spans = Vec::new();
-                let records = trace.iter().copied();
-                let spanned = e.run(engine, kind, records, 300_000, &mut NullObserver, |p| {
-                    spans.push(p);
-                });
-                let name = engine.name();
-                assert_eq!(
-                    spanned, plain,
-                    "{name} {kind:?} spanned run must be bit-identical"
-                );
-                assert!(!spans.is_empty(), "a multi-span run reports progress");
-                // Spans advance, restarting only at each DIMM channel.
-                assert!(spans
-                    .windows(2)
-                    .all(|w| w[0].cycle < w[1].cycle || w[1].span == 1));
-                // Pauses come with simulation still ahead — except that the
-                // FR-FCFS controller also reports one at the end cycle.
-                if !matches!(engine, Engine::FrFcfs { .. }) {
-                    assert_eq!(pauses, 0, "{name}: a zero cadence never pauses");
-                    assert!(spans.iter().all(|p| p.cycle < p.end));
-                }
-            }
+        for kind in PolicyKind::ALL {
+            let plain = e.run_policy(kind, "swaptions").unwrap();
+            let trace = e.materialize_trace("swaptions").unwrap();
+            let mut spans = Vec::new();
+            let spanned =
+                e.run_policy_spanned_with(kind, trace.iter().copied(), 500_000, |p| spans.push(p));
+            assert_eq!(spanned, plain, "{kind:?} spanned run must be bit-identical");
+            assert!(!spans.is_empty(), "a multi-span run reports progress");
+            assert!(spans.windows(2).all(|w| w[0].cycle < w[1].cycle));
+            assert!(spans.iter().all(|p| p.cycle < p.end));
         }
+    }
+
+    #[test]
+    fn spanned_frfcfs_is_bit_identical() {
+        let e = small();
+        let plain = e
+            .run(
+                &Engine::FrFcfs { queue_depth: 8 },
+                PolicyKind::Vrl,
+                e.trace("canneal").unwrap(),
+                0,
+                &mut NullObserver,
+                |_| {},
+            )
+            .unwrap()
+            .into_frfcfs();
+        let trace = e.materialize_trace("canneal").unwrap();
+        let mut spans = 0;
+        let spanned = e
+            .run_frfcfs_spanned_with(PolicyKind::Vrl, trace.iter().copied(), 8, 400_000, |_| {
+                spans += 1;
+            })
+            .unwrap();
+        assert_eq!(spanned, plain);
+        assert!(spans > 0);
+    }
+
+    #[test]
+    fn spanned_sched_is_bit_identical() {
+        let e = small();
+        let sched = e.sched_config(4).unwrap();
+        let plain = e
+            .run(
+                &Engine::Sched(sched),
+                PolicyKind::VrlAccess,
+                e.trace("bgsave").unwrap(),
+                0,
+                &mut NullObserver,
+                |_| {},
+            )
+            .unwrap()
+            .into_sched();
+        let trace = e.materialize_trace("bgsave").unwrap();
+        let spanned = e
+            .run_scheduled_spanned_with(
+                PolicyKind::VrlAccess,
+                sched,
+                trace.iter().copied(),
+                300_000,
+                |_| {},
+            )
+            .unwrap();
+        assert_eq!(spanned, plain);
+    }
+
+    #[test]
+    fn spanned_dimm_channels_merge_to_the_serial_dimm_run() {
+        let e = small();
+        let sched = e.dimm_config(2, 1, 2).unwrap();
+        let direct = e
+            .run(
+                &Engine::Dimm(sched),
+                PolicyKind::Vrl,
+                e.trace("ferret").unwrap(),
+                0,
+                &mut NullObserver,
+                |_| {},
+            )
+            .unwrap()
+            .into_sched();
+        let trace = e.materialize_trace("ferret").unwrap();
+        let mut merged = SchedStats::default();
+        for channel in 0..sched.channels() {
+            let shard = e
+                .run_dimm_channel_spanned_with(
+                    PolicyKind::Vrl,
+                    sched,
+                    channel,
+                    trace.iter().copied(),
+                    250_000,
+                    |_| {},
+                )
+                .unwrap();
+            merged = merged.merge(&shard);
+        }
+        assert_eq!(merged, direct);
+    }
+
+    #[test]
+    fn zero_cadence_means_one_span_and_no_callbacks() {
+        let e = small();
+        let plain = e.run_policy(PolicyKind::Raidr, "swaptions").unwrap();
+        let trace = e.materialize_trace("swaptions").unwrap();
+        let spanned =
+            e.run_policy_spanned_with(PolicyKind::Raidr, trace.iter().copied(), 0, |_| {
+                panic!("no pauses expected")
+            });
+        assert_eq!(spanned, plain);
     }
 
     #[test]

@@ -170,14 +170,14 @@ fn print_sched_stats(policy: &str, stats: &vrl_sched::SchedStats) {
     );
 }
 
-/// A completed run of one policy: the policy, the benchmark, the
-/// engine's statistics and — for traced runs — the event stream.
-type Ran = (PolicyKind, String, Outcome, Option<EventStream>);
+/// A resumed run that completed: the policy, the benchmark, the
+/// engine's statistics and — for traced snapshots — the event stream.
+type Resumed = (PolicyKind, String, Outcome, Option<EventStream>);
 
 /// Runs `vrl <cmd> --resume FILE`: restores the snapshot (everything
 /// else comes from its header) and continues it. A run that fails or
 /// halts again is reported here and comes back as its exit code.
-fn run_resume(args: &[String], resume_path: &str) -> Result<Result<Ran, ExitCode>, UsageError> {
+fn run_resume(args: &[String], resume_path: &str) -> Result<Result<Resumed, ExitCode>, UsageError> {
     let cont = checkpoint_flags(args)?;
     let report = match vrl_dram::checkpoint::resume(Path::new(resume_path), cont.as_ref()) {
         Ok(report) => report,
@@ -204,18 +204,18 @@ fn run_resume(args: &[String], resume_path: &str) -> Result<Result<Ran, ExitCode
 }
 
 /// Runs one policy of `vrl <cmd>` on `engine`: checkpointed under
-/// `ckpt` (a halt prints how to resume), plain otherwise, and recording
-/// an event stream for `vrl trace`. A run that fails or halts is
-/// reported here and comes back as its exit code.
+/// `ckpt` (a halt prints how to resume), plain otherwise, recording an
+/// event stream when `traced`. A run that fails or halts is reported
+/// here and comes back as its exit code.
 fn run_fresh(
-    cmd: RunCmd,
+    cmd: &str,
     experiment: &Experiment,
     engine: &Engine,
     kind: PolicyKind,
     benchmark: &str,
     ckpt: Option<&CheckpointConfig>,
-) -> Result<Ran, ExitCode> {
-    let traced = cmd == RunCmd::Trace;
+    traced: bool,
+) -> Result<(Outcome, Option<EventStream>), ExitCode> {
     let ran = match ckpt {
         Some(ckpt) => experiment
             .run_checkpointed(engine, kind, benchmark, ckpt, traced)
@@ -224,8 +224,7 @@ fn run_fresh(
                 CheckpointOutcome::Halted { checkpoints } => {
                     println!(
                         "halted after {checkpoints} checkpoint(s); resume with \
-                         `vrl {} --resume {}`",
-                        cmd.name(),
+                         `vrl {cmd} --resume {}`",
                         ckpt.path.display()
                     );
                     None
@@ -241,13 +240,38 @@ fn run_fresh(
         }),
     };
     match ran {
-        Ok(Some((outcome, events))) => Ok((kind, benchmark.to_owned(), outcome, events)),
+        Ok(Some(ran)) => Ok(ran),
         Ok(None) => Err(ExitCode::SUCCESS),
         Err(err) => {
             eprintln!("{err}");
             Err(ExitCode::FAILURE)
         }
     }
+}
+
+/// Parses the checkpoint flags of a fresh run over `kinds`:
+/// checkpointing needs a single policy.
+fn fresh_checkpoint(
+    args: &[String],
+    kinds: &[PolicyKind],
+) -> Result<Option<CheckpointConfig>, UsageError> {
+    let ckpt = checkpoint_flags(args)?;
+    if ckpt.is_some() && kinds.len() != 1 {
+        return Err(UsageError::new(
+            "--checkpoint needs a single --policy (not 'all')",
+        ));
+    }
+    Ok(ckpt)
+}
+
+/// Writes `snapshot` to the `--metrics FILE`, if one was given.
+fn metrics_flag(args: &[String], snapshot: &MetricsSnapshot) -> CmdResult {
+    if let Some(path) = flag_value(args, "--metrics")? {
+        if !write_metrics(&path, snapshot) {
+            return Ok(ExitCode::FAILURE);
+        }
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_model() -> CmdResult {
@@ -338,250 +362,287 @@ fn cmd_plan(args: &[String]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The run commands. Each runs one engine per policy through
-/// [`Experiment::run`] (or checkpointed and resumed through the same
-/// engine constructor); they differ in the engine and in how a run is
-/// reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunCmd {
-    /// `vrl simulate`: the single-bank simulator.
-    Simulate,
-    /// `vrl sched`: the multi-bank scheduler over a DIMM geometry.
-    Sched,
-    /// `vrl trace`: one recorded scheduler run, exported as a Chrome
-    /// trace.
-    Trace,
-}
+const SIMULATE_FLAGS: [&str; 7] = [
+    "--rows",
+    "--duration-ms",
+    "--policy",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--halt-after",
+    "--resume",
+];
 
-impl RunCmd {
-    fn name(self) -> &'static str {
-        match self {
-            RunCmd::Simulate => "simulate",
-            RunCmd::Sched => "sched",
-            RunCmd::Trace => "trace",
-        }
-    }
-
-    /// The flags the command accepts, in the order usage errors list
-    /// them.
-    fn flags(self) -> Vec<&'static str> {
-        let own = match self {
-            RunCmd::Simulate => "--rows --duration-ms --policy",
-            RunCmd::Sched => {
-                "--rows --channels --ranks --banks --duration-ms --policy --no-parallel --metrics"
-            }
-            RunCmd::Trace => {
-                "--policy --rows --channels --ranks --banks --duration-ms --out --metrics --validate"
-            }
-        };
-        let checkpoint = "--checkpoint --checkpoint-every --halt-after --resume";
-        own.split(' ').chain(checkpoint.split(' ')).collect()
-    }
-
-    /// The usage line's options before the checkpoint flags.
-    fn usage(self) -> &'static str {
-        match self {
-            RunCmd::Simulate => "[--rows N] [--duration-ms D] [--policy P]",
-            RunCmd::Sched => {
-                "[--rows N] [--channels C] [--ranks R] [--banks B] [--duration-ms D] \
-                 [--policy P] [--no-parallel]"
-            }
-            RunCmd::Trace => {
-                "[--policy P] [--rows N] [--channels C] [--ranks R] [--banks B] \
-                 [--duration-ms D] [--out FILE] [--metrics FILE] [--validate]"
-            }
-        }
-    }
-
-    /// What a snapshot resumed by this command must be, for the error
-    /// when it is not.
-    fn snapshot(self) -> &'static str {
-        match self {
-            RunCmd::Simulate => "simulator snapshot (try `vrl sched --resume`)",
-            RunCmd::Sched => "scheduler snapshot (try `vrl simulate --resume`)",
-            RunCmd::Trace => "traced scheduler snapshot",
-        }
-    }
-}
-
-/// `vrl simulate`, `vrl sched` and `vrl trace`: run (or resume) one
-/// benchmark under each requested policy and report every run.
-fn cmd_run(cmd: RunCmd, args: &[String]) -> CmdResult {
-    reject_unknown_flags(args, &cmd.flags())?;
-    let mut merged = MetricsSnapshot::default();
+fn cmd_simulate(args: &[String]) -> CmdResult {
+    reject_unknown_flags(args, &SIMULATE_FLAGS)?;
     if let Some(path) = flag_value(args, "--resume")? {
-        let ran = match run_resume(args, &path)? {
-            Ok(ran) => ran,
-            Err(code) => return Ok(code),
-        };
-        if let Some(code) = report(cmd, args, ran, &mut merged, Some(&path))? {
-            return Ok(code);
-        }
-        return write_sched_metrics(cmd, args, &merged);
+        return Ok(match run_resume(args, &path)? {
+            Ok((kind, _, Outcome::Sim(stats), _)) => {
+                print_sim_stats(kind.name(), &stats);
+                ExitCode::SUCCESS
+            }
+            Ok(_) => {
+                eprintln!("error: {path} is not a simulator snapshot (try `vrl sched --resume`)");
+                ExitCode::FAILURE
+            }
+            Err(code) => code,
+        });
     }
     let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
         return Err(UsageError::new(format!(
-            "usage: vrl {} <benchmark> {} \
+            "usage: vrl simulate <benchmark> [--rows N] [--duration-ms D] [--policy P] \
              [--checkpoint FILE --checkpoint-every N [--halt-after K]] [--resume FILE]\n\
              benchmarks: {}",
-            cmd.name(),
-            cmd.usage(),
             vrl_trace::WorkloadSpec::BENCHMARKS.join(", ")
         )));
     };
-    // Flags a command does not take were rejected above, so parsing
-    // them here yields their defaults.
+    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
+    let kinds = policy_flag(args, "all")?;
+    let experiment = Experiment::new(ExperimentConfig {
+        rows,
+        duration_ms,
+        ..Default::default()
+    });
+    let ckpt = fresh_checkpoint(args, &kinds)?;
+    for kind in kinds {
+        let ckpt = ckpt.as_ref();
+        match run_fresh(
+            "simulate",
+            &experiment,
+            &Engine::Sim,
+            kind,
+            &benchmark,
+            ckpt,
+            false,
+        ) {
+            Ok((outcome, _)) => print_sim_stats(kind.name(), outcome.sim_stats()),
+            Err(code) => return Ok(code),
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+const SCHED_FLAGS: [&str; 12] = [
+    "--rows",
+    "--channels",
+    "--ranks",
+    "--banks",
+    "--duration-ms",
+    "--policy",
+    "--no-parallel",
+    "--metrics",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--halt-after",
+    "--resume",
+];
+
+fn cmd_sched(args: &[String]) -> CmdResult {
+    reject_unknown_flags(args, &SCHED_FLAGS)?;
+    if let Some(path) = flag_value(args, "--resume")? {
+        let resumed = match run_resume(args, &path)? {
+            Ok(resumed) => resumed,
+            Err(code) => return Ok(code),
+        };
+        let (kind, _, Outcome::Sched(stats), _) = resumed else {
+            eprintln!("error: {path} is not a scheduler snapshot (try `vrl simulate --resume`)");
+            return Ok(ExitCode::FAILURE);
+        };
+        print_sched_stats(kind.name(), &stats);
+        return metrics_flag(args, &sched_metrics(&stats));
+    }
+    let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
+        return Err(UsageError::new(format!(
+            "usage: vrl sched <benchmark> [--rows N] [--channels C] [--ranks R] [--banks B] \
+             [--duration-ms D] [--policy P] [--no-parallel] \
+             [--checkpoint FILE --checkpoint-every N [--halt-after K]] [--resume FILE]\n\
+             benchmarks: {}",
+            vrl_trace::WorkloadSpec::BENCHMARKS.join(", ")
+        )));
+    };
     let rows: u32 = flag_parse(args, "--rows", 8192)?;
     let channels: u32 = flag_parse(args, "--channels", 1)?;
     let ranks: u32 = flag_parse(args, "--ranks", 1)?;
     let banks: u32 = flag_parse(args, "--banks", 8)?;
     let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
     let parallel = !flag_present(args, "--no-parallel");
-    let traced = cmd == RunCmd::Trace;
-    let kinds = policy_flag(args, if traced { "vrl-access" } else { "all" })?;
-    if traced && kinds.len() != 1 {
-        return Err(UsageError::new(
-            "trace records a single policy (auto, raidr, vrl, vrl-access)",
-        ));
-    }
-    flag_value(args, "--out")?;
+    let kinds = policy_flag(args, "all")?;
     let experiment = Experiment::new(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
     });
-    let engine = if cmd == RunCmd::Simulate {
-        Engine::Sim
-    } else {
-        match experiment.dimm_config(channels, ranks, banks) {
-            Ok(cfg) => Engine::Sched(cfg.with_parallelism(parallel)),
+    let sched = match experiment.dimm_config(channels, ranks, banks) {
+        Ok(cfg) => cfg.with_parallelism(parallel),
+        Err(err) => {
+            eprintln!("{err}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    println!(
+        "dimm: {channels} channels × {ranks} ranks × {banks} banks × {} rows, \
+         {duration_ms} ms simulated, refresh parallelization {}",
+        sched.rows_per_bank(),
+        if parallel { "on" } else { "off" }
+    );
+    println!(
+        "{:>10} {:>12} {:>12} {:>10} {:>10} {:>12} {:>8} {:>8}",
+        "policy",
+        "refresh-busy",
+        "blocked",
+        "postponed",
+        "pulled-in",
+        "stall",
+        "p50 lat",
+        "p99 lat"
+    );
+    let ckpt = fresh_checkpoint(args, &kinds)?;
+    let engine = Engine::Sched(sched);
+    let mut merged = MetricsSnapshot::default();
+    for kind in kinds {
+        let ckpt = ckpt.as_ref();
+        let stats = match run_fresh("sched", &experiment, &engine, kind, &benchmark, ckpt, false) {
+            Ok((Outcome::Sched(stats), _)) => stats,
+            Ok(_) => unreachable!("a scheduler run reports scheduler stats"),
+            Err(code) => return Ok(code),
+        };
+        print_sched_stats(kind.name(), &stats);
+        merged
+            .merge(&sched_metrics(&stats))
+            .expect("sched metric snapshots share one shape");
+    }
+    metrics_flag(args, &merged)
+}
+
+const TRACE_FLAGS: [&str; 13] = [
+    "--policy",
+    "--rows",
+    "--channels",
+    "--ranks",
+    "--banks",
+    "--duration-ms",
+    "--out",
+    "--metrics",
+    "--validate",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--halt-after",
+    "--resume",
+];
+
+/// Writes `stream` to `out` as Chrome `trace_event` JSON and prints its
+/// summary line; returns the JSON, or `None` after reporting a failed
+/// write.
+fn write_trace(
+    out: &str,
+    benchmark: &str,
+    stats: &vrl_sched::SchedStats,
+    stream: &EventStream,
+) -> Option<String> {
+    let json = chrome_trace_json(
+        &stream.events,
+        &stream.label,
+        &stream.policy,
+        stream.dropped,
+    );
+    if let Err(err) = std::fs::write(out, &json) {
+        eprintln!("error: cannot write {out}: {err}");
+        return None;
+    }
+    println!(
+        "{benchmark}: {} events ({} dropped) over {} cycles -> {out}",
+        stream.events.len(),
+        stream.dropped,
+        stats.sim.total_cycles
+    );
+    Some(json)
+}
+
+fn cmd_trace(args: &[String]) -> CmdResult {
+    reject_unknown_flags(args, &TRACE_FLAGS)?;
+    if let Some(path) = flag_value(args, "--resume")? {
+        let resumed = match run_resume(args, &path)? {
+            Ok(resumed) => resumed,
+            Err(code) => return Ok(code),
+        };
+        let (_, benchmark, Outcome::Sched(stats), Some(stream)) = resumed else {
+            eprintln!("error: {path} is not a traced scheduler snapshot");
+            return Ok(ExitCode::FAILURE);
+        };
+        // A resumed trace is written, but not validated or metered.
+        let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
+        return Ok(match write_trace(&out, &benchmark, &stats, &stream) {
+            Some(_) => ExitCode::SUCCESS,
+            None => ExitCode::FAILURE,
+        });
+    }
+    let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
+        return Err(UsageError::new(format!(
+            "usage: vrl trace <benchmark> [--policy P] [--rows N] [--channels C] [--ranks R] \
+             [--banks B] [--duration-ms D] [--out FILE] [--metrics FILE] [--validate] \
+             [--checkpoint FILE --checkpoint-every N [--halt-after K]] [--resume FILE]\n\
+             benchmarks: {}",
+            vrl_trace::WorkloadSpec::BENCHMARKS.join(", ")
+        )));
+    };
+    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let channels: u32 = flag_parse(args, "--channels", 1)?;
+    let ranks: u32 = flag_parse(args, "--ranks", 1)?;
+    let banks: u32 = flag_parse(args, "--banks", 8)?;
+    let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
+    let [kind] = policy_flag(args, "vrl-access")?[..] else {
+        return Err(UsageError::new(
+            "trace records a single policy (auto, raidr, vrl, vrl-access)",
+        ));
+    };
+    let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
+    let experiment = Experiment::new(ExperimentConfig {
+        rows,
+        duration_ms,
+        ..Default::default()
+    });
+    let engine = match experiment.dimm_config(channels, ranks, banks) {
+        Ok(cfg) => Engine::Sched(cfg),
+        Err(err) => {
+            eprintln!("{err}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    let ckpt = checkpoint_flags(args)?;
+    let (stats, stream) = match run_fresh(
+        "trace",
+        &experiment,
+        &engine,
+        kind,
+        &benchmark,
+        ckpt.as_ref(),
+        true,
+    ) {
+        Ok((Outcome::Sched(stats), Some(stream))) => (stats, stream),
+        Ok(_) => unreachable!("a traced scheduler run reports its events"),
+        Err(code) => return Ok(code),
+    };
+    let Some(json) = write_trace(&out, &benchmark, &stats, &stream) else {
+        return Ok(ExitCode::FAILURE);
+    };
+    if flag_present(args, "--validate") {
+        match validate_chrome_trace(&json) {
+            Ok(summary) => {
+                let kinds: Vec<&str> = summary.kinds.iter().map(String::as_str).collect();
+                println!(
+                    "valid Chrome trace: {} events across {} banks, kinds: {}",
+                    summary.events,
+                    summary.banks.len(),
+                    kinds.join(", ")
+                );
+            }
             Err(err) => {
                 eprintln!("{err}");
                 return Ok(ExitCode::FAILURE);
             }
         }
-    };
-    if let (RunCmd::Sched, Engine::Sched(sched)) = (cmd, engine) {
-        println!(
-            "dimm: {channels} channels × {ranks} ranks × {banks} banks × {} rows, \
-             {duration_ms} ms simulated, refresh parallelization {}",
-            sched.rows_per_bank(),
-            if parallel { "on" } else { "off" }
-        );
-        println!(
-            "{:>10} {:>12} {:>12} {:>10} {:>10} {:>12} {:>8} {:>8}",
-            "policy",
-            "refresh-busy",
-            "blocked",
-            "postponed",
-            "pulled-in",
-            "stall",
-            "p50 lat",
-            "p99 lat"
-        );
     }
-    let ckpt = checkpoint_flags(args)?;
-    if ckpt.is_some() && kinds.len() != 1 {
-        return Err(UsageError::new(
-            "--checkpoint needs a single --policy (not 'all')",
-        ));
-    }
-    for kind in kinds {
-        let ran = match run_fresh(cmd, &experiment, &engine, kind, &benchmark, ckpt.as_ref()) {
-            Ok(ran) => ran,
-            Err(code) => return Ok(code),
-        };
-        if let Some(code) = report(cmd, args, ran, &mut merged, None)? {
-            return Ok(code);
-        }
-    }
-    write_sched_metrics(cmd, args, &merged)
-}
-
-/// Reports one completed run the way `cmd` does; scheduler metrics
-/// accumulate into `merged`. A snapshot resumed (from `resumed`) by the
-/// wrong command is a typed failure. A resumed trace is written, but not
-/// validated or metered.
-fn report(
-    cmd: RunCmd,
-    args: &[String],
-    ran: Ran,
-    merged: &mut MetricsSnapshot,
-    resumed: Option<&str>,
-) -> Result<Option<ExitCode>, UsageError> {
-    match (cmd, ran) {
-        (RunCmd::Simulate, (kind, _, Outcome::Sim(stats), _)) => {
-            print_sim_stats(kind.name(), &stats);
-        }
-        (RunCmd::Sched, (kind, _, Outcome::Sched(stats), _)) => {
-            print_sched_stats(kind.name(), &stats);
-            merged
-                .merge(&sched_metrics(&stats))
-                .expect("sched metric snapshots share one shape");
-        }
-        (RunCmd::Trace, (_, benchmark, Outcome::Sched(stats), Some(stream))) => {
-            let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
-            let json = chrome_trace_json(
-                &stream.events,
-                &stream.label,
-                &stream.policy,
-                stream.dropped,
-            );
-            if let Err(err) = std::fs::write(&out, &json) {
-                eprintln!("error: cannot write {out}: {err}");
-                return Ok(Some(ExitCode::FAILURE));
-            }
-            println!(
-                "{benchmark}: {} events ({} dropped) over {} cycles -> {out}",
-                stream.events.len(),
-                stream.dropped,
-                stats.sim.total_cycles
-            );
-            if resumed.is_some() {
-                return Ok(None);
-            }
-            if flag_present(args, "--validate") {
-                match validate_chrome_trace(&json) {
-                    Ok(summary) => {
-                        let kinds: Vec<&str> = summary.kinds.iter().map(String::as_str).collect();
-                        println!(
-                            "valid Chrome trace: {} events across {} banks, kinds: {}",
-                            summary.events,
-                            summary.banks.len(),
-                            kinds.join(", ")
-                        );
-                    }
-                    Err(err) => {
-                        eprintln!("{err}");
-                        return Ok(Some(ExitCode::FAILURE));
-                    }
-                }
-            }
-            if let Some(path) = flag_value(args, "--metrics")? {
-                if !write_metrics(&path, &sched_metrics(&stats)) {
-                    return Ok(Some(ExitCode::FAILURE));
-                }
-            }
-        }
-        _ => {
-            let path = resumed.expect("a fresh run matches its command");
-            eprintln!("error: {path} is not a {}", cmd.snapshot());
-            return Ok(Some(ExitCode::FAILURE));
-        }
-    }
-    Ok(None)
-}
-
-/// Writes `vrl sched --metrics`: every run's scheduler metrics, merged.
-fn write_sched_metrics(cmd: RunCmd, args: &[String], merged: &MetricsSnapshot) -> CmdResult {
-    if cmd == RunCmd::Sched {
-        if let Some(path) = flag_value(args, "--metrics")? {
-            if !write_metrics(&path, merged) {
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    }
-    Ok(ExitCode::SUCCESS)
+    metrics_flag(args, &sched_metrics(&stats))
 }
 
 fn cmd_compare(args: &[String]) -> CmdResult {
@@ -1236,10 +1297,10 @@ fn main() -> ExitCode {
         Some("model") => cmd_model(),
         Some("mprsf") => cmd_mprsf(&args[1..]),
         Some("plan") => cmd_plan(&args[1..]),
-        Some("simulate") => cmd_run(RunCmd::Simulate, &args[1..]),
+        Some("simulate") => cmd_simulate(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("sched") => cmd_run(RunCmd::Sched, &args[1..]),
-        Some("trace") => cmd_run(RunCmd::Trace, &args[1..]),
+        Some("sched") => cmd_sched(&args[1..]),
+        Some("trace") => cmd_trace(&args[1..]),
         Some("netlist") => cmd_netlist(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),

@@ -287,6 +287,36 @@ fn zero_cadence_is_rejected() {
 }
 
 #[test]
+fn engines_without_a_checkpoint_seam_are_typed_errors() {
+    let exp = experiment();
+    let scratch = Scratch::new("seamless");
+    let ckpt = CheckpointConfig::new(&scratch.0, 1_000_000);
+    let sched = exp.dimm_config(2, 1, 2).expect("256 rows over 4 banks");
+    let faults = vrl_dram::dram_sim::fault::FaultConfig::default_scenario(7);
+    for (engine, name) in [
+        (Engine::Dimm(sched), "dimm"),
+        (Engine::Channel { sched, channel: 0 }, "channel"),
+        (
+            Engine::Faulted {
+                faults,
+                guard: None,
+            },
+            "faulted",
+        ),
+    ] {
+        let err = exp
+            .run_checkpointed(&engine, PolicyKind::Vrl, "swaptions", &ckpt, false)
+            .expect_err("no checkpoint seam");
+        assert_eq!(err, Error::NotCheckpointable { engine: name });
+        assert_eq!(
+            err.to_string(),
+            format!("the {name} engine cannot be checkpointed")
+        );
+    }
+    assert!(!scratch.0.exists(), "a rejected run writes no snapshot");
+}
+
+#[test]
 fn manifested_matrix_matches_direct_runs_and_resumes() {
     let exp = Experiment::new(ExperimentConfig {
         rows: 256,
