@@ -422,6 +422,77 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
     Ok(ExitCode::SUCCESS)
 }
 
+fn cmd_compare(args: &[String]) -> CmdResult {
+    reject_unknown_flags(
+        args,
+        &[
+            "--rows",
+            "--duration-ms",
+            "--threads",
+            "--metrics",
+            "--manifest",
+        ],
+    )?;
+    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
+    let experiment = Experiment::new(ExperimentConfig {
+        rows,
+        duration_ms,
+        ..Default::default()
+    });
+    // --threads beats VRL_THREADS beats available parallelism.
+    let exec = match flag_value(args, "--threads")? {
+        Some(raw) => match raw.parse::<usize>() {
+            Ok(n) if n > 0 => vrl_exec::ExecConfig::new(n),
+            _ => return Err(UsageError::new("--threads takes a positive integer")),
+        },
+        None => vrl_exec::ExecConfig::from_env(),
+    };
+    println!(
+        "bank: {rows} rows, {duration_ms} ms simulated, {} workers",
+        exec.workers
+    );
+    // Run the matrix directly (rather than `compare_all_with`) so the
+    // per-run stats are on hand for an optional `--metrics` snapshot
+    // without simulating twice. `--manifest` swaps in the
+    // crash-consistent sweep that persists completed cells.
+    let policies = [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess];
+    let matrix = match flag_value(args, "--manifest")? {
+        Some(path) => experiment.run_matrix_manifested(&exec, &policies, Path::new(&path)),
+        None => experiment.run_matrix_with(&exec, &policies).map(|(c, _)| c),
+    };
+    let cells = match matrix {
+        Ok(cells) => cells,
+        Err(err) => {
+            eprintln!("{err}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    println!(
+        "{:>14} {:>8} {:>8} {:>12}",
+        "benchmark", "RAIDR", "VRL", "VRL-Access"
+    );
+    for group in cells.chunks_exact(policies.len()) {
+        let raidr = group[0].stats.refresh_busy_cycles as f64;
+        println!(
+            "{:>14} {:>8.3} {:>8.3} {:>12.3}",
+            group[0].benchmark,
+            1.0,
+            group[1].stats.refresh_busy_cycles as f64 / raidr,
+            group[2].stats.refresh_busy_cycles as f64 / raidr
+        );
+    }
+    if let Some(path) = flag_value(args, "--metrics")? {
+        let snapshots: Vec<MetricsSnapshot> = cells.iter().map(|c| sim_metrics(&c.stats)).collect();
+        let merged = MetricsSnapshot::merged(snapshots.iter())
+            .expect("sim metric snapshots share one shape");
+        if !write_metrics(&path, &merged) {
+            return Ok(ExitCode::FAILURE);
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 const SCHED_FLAGS: [&str; 12] = [
     "--rows",
     "--channels",
@@ -643,77 +714,6 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         }
     }
     metrics_flag(args, &sched_metrics(&stats))
-}
-
-fn cmd_compare(args: &[String]) -> CmdResult {
-    reject_unknown_flags(
-        args,
-        &[
-            "--rows",
-            "--duration-ms",
-            "--threads",
-            "--metrics",
-            "--manifest",
-        ],
-    )?;
-    let rows: u32 = flag_parse(args, "--rows", 8192)?;
-    let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
-    let experiment = Experiment::new(ExperimentConfig {
-        rows,
-        duration_ms,
-        ..Default::default()
-    });
-    // --threads beats VRL_THREADS beats available parallelism.
-    let exec = match flag_value(args, "--threads")? {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => vrl_exec::ExecConfig::new(n),
-            _ => return Err(UsageError::new("--threads takes a positive integer")),
-        },
-        None => vrl_exec::ExecConfig::from_env(),
-    };
-    println!(
-        "bank: {rows} rows, {duration_ms} ms simulated, {} workers",
-        exec.workers
-    );
-    // Run the matrix directly (rather than `compare_all_with`) so the
-    // per-run stats are on hand for an optional `--metrics` snapshot
-    // without simulating twice. `--manifest` swaps in the
-    // crash-consistent sweep that persists completed cells.
-    let policies = [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess];
-    let matrix = match flag_value(args, "--manifest")? {
-        Some(path) => experiment.run_matrix_manifested(&exec, &policies, Path::new(&path)),
-        None => experiment.run_matrix_with(&exec, &policies).map(|(c, _)| c),
-    };
-    let cells = match matrix {
-        Ok(cells) => cells,
-        Err(err) => {
-            eprintln!("{err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    println!(
-        "{:>14} {:>8} {:>8} {:>12}",
-        "benchmark", "RAIDR", "VRL", "VRL-Access"
-    );
-    for group in cells.chunks_exact(policies.len()) {
-        let raidr = group[0].stats.refresh_busy_cycles as f64;
-        println!(
-            "{:>14} {:>8.3} {:>8.3} {:>12.3}",
-            group[0].benchmark,
-            1.0,
-            group[1].stats.refresh_busy_cycles as f64 / raidr,
-            group[2].stats.refresh_busy_cycles as f64 / raidr
-        );
-    }
-    if let Some(path) = flag_value(args, "--metrics")? {
-        let snapshots: Vec<MetricsSnapshot> = cells.iter().map(|c| sim_metrics(&c.stats)).collect();
-        let merged = MetricsSnapshot::merged(snapshots.iter())
-            .expect("sim metric snapshots share one shape");
-        if !write_metrics(&path, &merged) {
-            return Ok(ExitCode::FAILURE);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_netlist(args: &[String]) -> CmdResult {
