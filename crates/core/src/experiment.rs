@@ -792,7 +792,7 @@ pub struct FaultedOutcome {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::Outcome;
 
@@ -805,7 +805,7 @@ mod tests {
     }
 
     /// An unsegmented, unobserved run of `kind` on `engine`.
-    fn run(
+    pub(crate) fn run(
         e: &Experiment,
         engine: &Engine,
         kind: PolicyKind,

@@ -235,6 +235,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::tests::run;
     use crate::experiment::ExperimentConfig;
 
     fn small() -> Experiment {
@@ -264,17 +265,14 @@ mod tests {
     #[test]
     fn spanned_frfcfs_is_bit_identical() {
         let e = small();
-        let plain = e
-            .run(
-                &Engine::FrFcfs { queue_depth: 8 },
-                PolicyKind::Vrl,
-                e.trace("canneal").unwrap(),
-                0,
-                &mut NullObserver,
-                |_| {},
-            )
-            .unwrap()
-            .into_frfcfs();
+        let plain = run(
+            &e,
+            &Engine::FrFcfs { queue_depth: 8 },
+            PolicyKind::Vrl,
+            "canneal",
+        )
+        .unwrap()
+        .into_frfcfs();
         let trace = e.materialize_trace("canneal").unwrap();
         let mut spans = 0;
         let spanned = e
@@ -290,15 +288,7 @@ mod tests {
     fn spanned_sched_is_bit_identical() {
         let e = small();
         let sched = e.sched_config(4).unwrap();
-        let plain = e
-            .run(
-                &Engine::Sched(sched),
-                PolicyKind::VrlAccess,
-                e.trace("bgsave").unwrap(),
-                0,
-                &mut NullObserver,
-                |_| {},
-            )
+        let plain = run(&e, &Engine::Sched(sched), PolicyKind::VrlAccess, "bgsave")
             .unwrap()
             .into_sched();
         let trace = e.materialize_trace("bgsave").unwrap();
@@ -318,15 +308,7 @@ mod tests {
     fn spanned_dimm_channels_merge_to_the_serial_dimm_run() {
         let e = small();
         let sched = e.dimm_config(2, 1, 2).unwrap();
-        let direct = e
-            .run(
-                &Engine::Dimm(sched),
-                PolicyKind::Vrl,
-                e.trace("ferret").unwrap(),
-                0,
-                &mut NullObserver,
-                |_| {},
-            )
+        let direct = run(&e, &Engine::Dimm(sched), PolicyKind::Vrl, "ferret")
             .unwrap()
             .into_sched();
         let trace = e.materialize_trace("ferret").unwrap();
