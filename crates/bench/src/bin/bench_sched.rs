@@ -21,6 +21,7 @@
 
 use serde::Serialize;
 
+use vrl_bench::fail;
 use vrl_dram::experiment::{sched_metrics, Experiment, ExperimentConfig, PolicyKind};
 use vrl_dram::{Engine, Outcome};
 use vrl_dram_sim::sim::NullObserver;
@@ -72,10 +73,7 @@ fn main() {
         duration_ms,
         ..Default::default()
     });
-    let sched = experiment.sched_config(banks).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let sched = experiment.sched_config(banks).unwrap_or_else(|e| fail(&e));
     println!(
         "benchmark {benchmark}: {banks} banks × {} rows, {duration_ms} ms simulated",
         sched.rows_per_bank()
@@ -231,9 +229,4 @@ fn main() {
         eprintln!("FAIL: supervisor quarantined jobs in a healthy matrix");
         std::process::exit(1);
     }
-}
-
-fn fail(err: &dyn std::fmt::Display) -> ! {
-    eprintln!("error: {err}");
-    std::process::exit(1);
 }

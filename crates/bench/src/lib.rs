@@ -93,6 +93,12 @@ pub fn write_bench_report<T: Serialize>(name: &str, report: &T, metrics_json: &s
     write_json(&format!("BENCH_{name}"), &Stamped(report));
 }
 
+/// Reports `err` on stderr and exits with status 1.
+pub fn fail(err: &dyn std::fmt::Display) -> ! {
+    eprintln!("error: {err}");
+    std::process::exit(1);
+}
+
 /// Prints a separator-framed section header.
 pub fn section(title: &str) {
     println!("\n{}", "=".repeat(72));

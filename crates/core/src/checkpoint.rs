@@ -16,8 +16,8 @@
 //! state change, so a run resumed from any checkpoint is bit-identical
 //! to the uninterrupted run — the property `tests/checkpoint_resume.rs`
 //! kills runs at arbitrary cycles to assert. The single-bank simulator,
-//! the FR-FCFS controller and the whole scheduler checkpoint; the
-//! channel-sharded and fault-injected engines do not (see DESIGN.md
+//! the FR-FCFS controller and the whole scheduler checkpoint; a single
+//! channel shard and the fault-injected engine do not (see DESIGN.md
 //! §12).
 //!
 //! Resume is **flag-free**: [`resume`] reads everything it needs from

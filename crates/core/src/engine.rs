@@ -32,14 +32,14 @@ pub enum Engine {
         /// Request-queue capacity (≥ 1).
         queue_depth: usize,
     },
-    /// One multi-bank scheduler over the whole configuration.
+    /// One multi-bank scheduler over the whole configuration — a bank
+    /// group or a full DIMM.
     Sched(SchedConfig),
-    /// A full DIMM as one scheduler shard per channel, run serially
-    /// over the same trace and merged with [`SchedStats::merge`] —
-    /// identical to one whole-DIMM [`Engine::Sched`].
-    Dimm(SchedConfig),
     /// One channel shard of a DIMM: records steered to other channels
-    /// are dropped, and events carry global bank indices.
+    /// are dropped, and events carry global bank indices. Kept for
+    /// `perfbench/`'s `run_dimm_channel_spanned_with` and the
+    /// shard ≡ whole-DIMM tests; every product path runs the whole DIMM
+    /// as one [`Engine::Sched`].
     Channel {
         /// The full DIMM geometry.
         sched: SchedConfig,
@@ -65,7 +65,6 @@ impl Engine {
             Engine::Sim => "sim",
             Engine::FrFcfs { .. } => "frfcfs",
             Engine::Sched(_) => "sched",
-            Engine::Dimm(_) => "dimm",
             Engine::Channel { .. } => "channel",
             Engine::Faulted { .. } => "faulted",
         }
@@ -76,9 +75,7 @@ impl Engine {
     /// address map, or one track for the single-bank engines.
     pub fn recorder(&self, label: &str, policy: PolicyKind) -> Recorder {
         let rows_per_bank = match self {
-            Engine::Sched(sched) | Engine::Dimm(sched) | Engine::Channel { sched, .. } => {
-                sched.rows_per_bank()
-            }
+            Engine::Sched(sched) | Engine::Channel { sched, .. } => sched.rows_per_bank(),
             _ => u32::MAX,
         };
         Recorder::new(label, policy.name(), rows_per_bank)
@@ -92,8 +89,7 @@ pub enum Outcome {
     Sim(SimStats),
     /// FR-FCFS controller counters.
     FrFcfs(ControllerStats),
-    /// Scheduler counters ([`Engine::Sched`], [`Engine::Channel`], or
-    /// the merged shards of [`Engine::Dimm`]).
+    /// Scheduler counters ([`Engine::Sched`] or [`Engine::Channel`]).
     Sched(SchedStats),
     /// Fault-injected run outcome.
     Faulted(FaultedOutcome),
@@ -116,8 +112,8 @@ impl Outcome {
         }
     }
 
-    /// The scheduler's statistics; the engine was [`Engine::Sched`],
-    /// [`Engine::Dimm`] or [`Engine::Channel`].
+    /// The scheduler's statistics; the engine was [`Engine::Sched`] or
+    /// [`Engine::Channel`].
     pub(crate) fn into_sched(self) -> SchedStats {
         match self {
             Outcome::Sched(stats) => stats,
@@ -163,8 +159,7 @@ impl Experiment {
     /// Runs `policy` on `engine` over `trace`, pausing every
     /// `span_cycles` cycles (`0` = never) to report progress to
     /// `on_span`, and reporting events to `observer`. A segmented run is
-    /// bit-identical to an unsegmented one. [`Engine::Dimm`] replays a
-    /// clone of `trace` per channel; [`Engine::Faulted`] runs
+    /// bit-identical to an unsegmented one. [`Engine::Faulted`] runs
     /// unsegmented and ignores `observer` and `on_span`.
     ///
     /// # Errors
@@ -181,23 +176,13 @@ impl Experiment {
         mut on_span: F,
     ) -> Result<Outcome, Error>
     where
-        I: Iterator<Item = TraceRecord> + Clone,
+        I: Iterator<Item = TraceRecord>,
         O: SimObserver,
         F: FnMut(SpanProgress),
     {
         match *engine {
             Engine::Faulted { faults, guard } => {
                 Ok(Outcome::Faulted(self.faulted(policy, trace, faults, guard)))
-            }
-            Engine::Dimm(sched) => {
-                let mut shards = Vec::new();
-                for channel in 0..sched.channels() {
-                    let shard = Engine::Channel { sched, channel };
-                    let run =
-                        Spanned::new(self, trace.clone(), span_cycles, observer, &mut on_span);
-                    shards.push(self.build(&shard, policy, run)?.into_sched());
-                }
-                Ok(Outcome::Sched(merge_shards(shards)))
             }
             _ => {
                 let run = Spanned::new(self, trace, span_cycles, observer, &mut on_span);
@@ -209,8 +194,8 @@ impl Experiment {
     /// Builds `engine` under `policy` and hands it to `run` — the one
     /// place a span engine is constructed.
     ///
-    /// [`Engine::Dimm`] and [`Engine::Faulted`] are not single span
-    /// engines; callers handle them before building.
+    /// [`Engine::Faulted`] is not a span engine; callers handle it
+    /// before building.
     pub(crate) fn build<R: EngineRun>(
         &self,
         engine: &Engine,
@@ -229,9 +214,7 @@ impl Experiment {
                 let shard = Scheduler::for_channel(sched, p, channel)?;
                 run.drive(shard, Outcome::Sched)
             }
-            Engine::Dimm(_) | Engine::Faulted { .. } => {
-                unreachable!("{} runs are not single span engines", engine.name())
-            }
+            Engine::Faulted { .. } => unreachable!("faulted runs are not span engines"),
         })
     }
 
@@ -282,13 +265,4 @@ impl Experiment {
 /// single-bank engine the crate builds.
 pub(crate) fn simulator<P: RefreshPolicy>(rows: u32, policy: P) -> Simulator<P> {
     Simulator::new(SimConfig::with_rows(rows), policy)
-}
-
-/// The statistics of a whole DIMM from its per-channel shards' — every
-/// sharded DIMM run ([`Engine::Dimm`], [`Experiment::run_dimm_with`])
-/// merges here.
-pub(crate) fn merge_shards(shards: impl IntoIterator<Item = SchedStats>) -> SchedStats {
-    shards
-        .into_iter()
-        .fold(SchedStats::default(), |all, shard| all.merge(&shard))
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use vrl_exec::{map_ordered, map_ordered_report, ExecConfig, PoolReport};
+use vrl_exec::{map_ordered_report, ExecConfig, PoolReport};
 
 use vrl_circuit::model::AnalyticalModel;
 use vrl_circuit::tech::Technology;
@@ -23,14 +23,14 @@ use vrl_dram_sim::guard::{GuardConfig, GuardStats};
 use vrl_dram_sim::integrity::IntegrityChecker;
 use vrl_dram_sim::sim::{NullObserver, SimObserver};
 use vrl_dram_sim::{SimStats, TimingParams};
-use vrl_obs::{merge_streams, Event, EventStream, MetricsRegistry, MetricsSnapshot};
+use vrl_obs::{MetricsRegistry, MetricsSnapshot};
 use vrl_power::model::{PowerBreakdown, PowerModel};
 use vrl_retention::distribution::RetentionDistribution;
 use vrl_retention::profile::BankProfile;
 use vrl_sched::{SchedConfig, SchedStats};
 use vrl_trace::{TraceRecord, Workload, WorkloadSpec};
 
-use crate::engine::{merge_shards, Engine};
+use crate::engine::Engine;
 use crate::error::Error;
 use crate::physics::ModelPhysics;
 use crate::plan::RefreshPlan;
@@ -318,7 +318,7 @@ impl Experiment {
     /// reporting events to an observer. Kept for `perfbench/`.
     pub fn run_policy_with<I, O>(&self, kind: PolicyKind, trace: I, observer: &mut O) -> SimStats
     where
-        I: Iterator<Item = TraceRecord> + Clone,
+        I: Iterator<Item = TraceRecord>,
         O: SimObserver,
     {
         let outcome = self.run(&Engine::Sim, kind, trace, 0, observer, |_| {});
@@ -531,42 +531,6 @@ impl Experiment {
         )?)
     }
 
-    /// Runs a full-DIMM simulation with one independent
-    /// [`Engine::Channel`] shard per channel fanned across the worker
-    /// pool, each recording events in a stream labeled
-    /// `"{benchmark}/ch{channel}"`. Shards never share state, so the
-    /// merged stats are bit-identical to an [`Engine::Dimm`] run for
-    /// every pool shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name
-    /// and [`Error::Sim`] for a scheduler invariant failure; the
-    /// lowest-channel failure wins, and worker panics surface as
-    /// [`Error::WorkerPanic`].
-    pub fn run_dimm_with(
-        &self,
-        cfg: &ExecConfig,
-        kind: PolicyKind,
-        benchmark: &str,
-        sched: SchedConfig,
-    ) -> Result<DimmRun, Error> {
-        let channels: Vec<u32> = (0..sched.channels()).collect();
-        let shards = map_ordered(cfg, &channels, |_, &channel| {
-            let trace = self.trace(benchmark)?;
-            let shard = Engine::Channel { sched, channel };
-            let mut recorder = shard.recorder(&format!("{benchmark}/ch{channel}"), kind);
-            let outcome = self.run(&shard, kind, trace, 0, &mut recorder, |_| {})?;
-            Ok((outcome.into_sched(), recorder.finish()))
-        })
-        .map_err(Error::from)?;
-        let (stats, streams): (Vec<SchedStats>, _) = shards.into_iter().unzip();
-        Ok(DimmRun {
-            stats: merge_shards(stats),
-            streams,
-        })
-    }
-
     /// The scheduler-front-end (benchmark × policy) matrix through the
     /// worker pool, in deterministic job order — the scheduled
     /// counterpart of [`Experiment::run_matrix_with`].
@@ -755,27 +719,6 @@ pub struct SchedCell {
     pub stats: SchedStats,
 }
 
-/// One full-DIMM run assembled from per-channel scheduler shards
-/// ([`Experiment::run_dimm_with`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DimmRun {
-    /// Counters merged across every shard with
-    /// [`SchedStats::merge`] — identical to the stats of one
-    /// whole-DIMM [`vrl_sched::Scheduler`] instance over the same trace.
-    pub stats: SchedStats,
-    /// One event stream per channel, in channel order.
-    pub streams: Vec<EventStream>,
-}
-
-impl DimmRun {
-    /// Every shard's events in the deterministic `(cycle, bank, seq)`
-    /// merge order — independent of how shards were packed onto
-    /// workers, because each bank's events come from exactly one shard.
-    pub fn merged_events(&self) -> Vec<Event> {
-        merge_streams(&self.streams)
-    }
-}
-
 /// The result of a fault-injected run ([`Experiment::run_faulted`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultedOutcome {
@@ -947,49 +890,6 @@ pub(crate) mod tests {
         assert_eq!(cfg.total_rows(), 512);
         assert!(e.dimm_config(0, 1, 4).is_err());
         assert!(e.dimm_config(3, 1, 1).is_err());
-    }
-
-    #[test]
-    fn dimm_shards_match_the_whole_dimm_across_pool_shapes() {
-        let e = Experiment::new(ExperimentConfig {
-            rows: 512,
-            duration_ms: 128.0,
-            ..Default::default()
-        });
-        let sched = e.dimm_config(2, 2, 4).expect("16 banks");
-        let whole = run(&e, &Engine::Sched(sched), PolicyKind::VrlAccess, "ferret")
-            .expect("known")
-            .into_sched();
-        let sharded = run(&e, &Engine::Dimm(sched), PolicyKind::VrlAccess, "ferret")
-            .expect("known")
-            .into_sched();
-        assert_eq!(
-            sharded, whole,
-            "merged shard stats must equal the single whole-DIMM instance"
-        );
-        let serial = e
-            .run_dimm_with(&ExecConfig::new(1), PolicyKind::VrlAccess, "ferret", sched)
-            .expect("known");
-        assert_eq!(serial.stats, whole);
-        assert_eq!(serial.streams.len(), 2);
-        for workers in [1, 2, 5] {
-            let pooled = e
-                .run_dimm_with(
-                    &ExecConfig::new(workers),
-                    PolicyKind::VrlAccess,
-                    "ferret",
-                    sched,
-                )
-                .expect("known");
-            assert_eq!(pooled, serial, "{workers}-worker pool diverged");
-        }
-        let merged = serial.merged_events();
-        assert!(!merged.is_empty());
-        assert!(merged
-            .windows(2)
-            .all(|w| w[0].merge_key() <= w[1].merge_key()));
-        assert!(merged.iter().any(|ev| ev.bank >= sched.banks_per_channel()));
-        assert!(merged.iter().all(|ev| ev.bank < sched.banks()));
     }
 
     #[test]

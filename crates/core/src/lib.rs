@@ -21,10 +21,10 @@
 //!   with bit-identical results to the serial path,
 //! * [`engine`] — the one engine vocabulary ([`Engine`], [`Outcome`])
 //!   and the one entry point, [`Experiment::run`]: the single-bank
-//!   simulator, the FR-FCFS controller, the multi-bank scheduler (whole,
-//!   per channel, or channel-sharded across a DIMM) and fault-injected
-//!   runs with the optional runtime guard, observed and optionally
-//!   segmented into progress spans ([`spans`]),
+//!   simulator, the FR-FCFS controller, the multi-bank scheduler (one
+//!   instance over a bank group or a whole DIMM, or one channel shard)
+//!   and fault-injected runs with the optional runtime guard, observed
+//!   and optionally segmented into progress spans ([`spans`]),
 //! * [`checkpoint`] — crash-consistent checkpoint/resume: versioned,
 //!   checksummed snapshots of a run's full engine state written
 //!   atomically on a cycle cadence, resumable bit-identically, plus a
@@ -68,7 +68,7 @@ pub use checkpoint::{resume, CheckpointConfig, CheckpointOutcome, ResumeReport};
 pub use engine::{Engine, Outcome};
 pub use error::Error;
 pub use experiment::{
-    ComparisonRow, DimmRun, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell, PolicyKind,
+    ComparisonRow, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell, PolicyKind,
 };
 pub use mprsf::{Mprsf, MprsfCalculator};
 pub use plan::RefreshPlan;

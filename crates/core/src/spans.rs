@@ -122,7 +122,7 @@ impl Experiment {
         on_span: F,
     ) -> SimStats
     where
-        I: Iterator<Item = TraceRecord> + Clone,
+        I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
         let outcome = self.run(
@@ -153,7 +153,7 @@ impl Experiment {
         on_span: F,
     ) -> Result<ControllerStats, Error>
     where
-        I: Iterator<Item = TraceRecord> + Clone,
+        I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
         let engine = Engine::FrFcfs { queue_depth };
@@ -184,7 +184,7 @@ impl Experiment {
         on_span: F,
     ) -> Result<SchedStats, Error>
     where
-        I: Iterator<Item = TraceRecord> + Clone,
+        I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
         let engine = Engine::Sched(sched);
@@ -216,7 +216,7 @@ impl Experiment {
         on_span: F,
     ) -> Result<SchedStats, Error>
     where
-        I: Iterator<Item = TraceRecord> + Clone,
+        I: Iterator<Item = TraceRecord>,
         F: FnMut(SpanProgress),
     {
         let engine = Engine::Channel { sched, channel };
@@ -305,10 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn spanned_dimm_channels_merge_to_the_serial_dimm_run() {
+    fn spanned_dimm_channels_merge_to_the_whole_dimm_run() {
         let e = small();
         let sched = e.dimm_config(2, 1, 2).unwrap();
-        let direct = run(&e, &Engine::Dimm(sched), PolicyKind::Vrl, "ferret")
+        let direct = run(&e, &Engine::Sched(sched), PolicyKind::Vrl, "ferret")
             .unwrap()
             .into_sched();
         let trace = e.materialize_trace("ferret").unwrap();
@@ -339,6 +339,60 @@ mod tests {
                 panic!("no pauses expected")
             });
         assert_eq!(spanned, plain);
+    }
+
+    /// Every span engine, over a trace heavy enough that queued work
+    /// outlives the horizon: a zero cadence never pauses, and a cadence
+    /// that divides the horizon pauses at spans 1..n strictly before
+    /// the end, with the zero-cadence statistics.
+    #[test]
+    fn no_engine_pauses_at_or_past_the_end() {
+        let e = small();
+        let end = e.config().end_cycle();
+        let trace = e.materialize_trace("bgsave").unwrap();
+        let dimm = e.dimm_config(2, 1, 2).unwrap();
+        for engine in [
+            Engine::Sim,
+            Engine::FrFcfs { queue_depth: 32 },
+            Engine::Sched(e.sched_config(4).unwrap()),
+            Engine::Sched(dimm),
+            Engine::Channel {
+                sched: dimm,
+                channel: 1,
+            },
+        ] {
+            let name = engine.name();
+            let records = trace.iter().copied();
+            let plain = e
+                .run(
+                    &engine,
+                    PolicyKind::Vrl,
+                    records,
+                    0,
+                    &mut NullObserver,
+                    |p| panic!("{name}: zero-cadence run paused at {p:?}"),
+                )
+                .unwrap();
+            let mut spans = Vec::new();
+            let records = trace.iter().copied();
+            let spanned = e
+                .run(
+                    &engine,
+                    PolicyKind::Vrl,
+                    records,
+                    end / 8,
+                    &mut NullObserver,
+                    |p| spans.push(p),
+                )
+                .unwrap();
+            assert_eq!(spanned, plain, "{name}");
+            assert!(!spans.is_empty(), "{name}");
+            for (i, p) in spans.iter().enumerate() {
+                assert_eq!(p.span as usize, i + 1, "{name}");
+                assert!(p.cycle < p.end, "{name}: paused at {p:?}");
+            }
+            assert!(spans.windows(2).all(|w| w[0].cycle < w[1].cycle), "{name}");
+        }
     }
 
     #[test]

@@ -196,6 +196,8 @@ impl<P: RefreshPolicy> FrFcfsController<P> {
     /// [`FrFcfsController::run_observed`] by construction.
     ///
     /// Returns `true` if the run paused at `stop_at` with work remaining.
+    /// A stop at or past `end` never pauses: the queue drains as in an
+    /// unsegmented run.
     ///
     /// # Errors
     ///
@@ -212,6 +214,7 @@ impl<P: RefreshPolicy> FrFcfsController<P> {
         I: Iterator<Item = TraceRecord>,
         O: SimObserver,
     {
+        let stop_at = if stop_at < end { stop_at } else { u64::MAX };
         loop {
             cursor.now = cursor.now.max(self.bank.ready_at(cursor.now));
             if cursor.now >= stop_at {

@@ -5,8 +5,8 @@
 //! The first section replays serve-cold's seven benchmarks at its
 //! geometry (512 rows, 64 ms) through every engine in one process:
 //! `dram::sim`, `FrFcfsController` (depth 8), the scheduler at 8 banks
-//! and as a 2 × 2 × 4 DIMM (one shard per channel, merged, as the
-//! daemon runs it), and the scheduler's 1-bank degenerate preset
+//! and as one whole 2 × 2 × 4 DIMM (as the daemon runs it), and the
+//! scheduler's 1-bank degenerate preset
 //! (parallelization off, slack 0, depth 8). Ratios against `dram::sim`
 //! cancel host drift. The later sections compare the SoA scheduler with
 //! the reference engine on a bursty full-DIMM trace and on PARSEC traces.
@@ -104,14 +104,7 @@ fn run_bank(trace: &[TraceRecord]) -> SimStats {
 
 fn run_dimm(trace: &[TraceRecord]) -> SimStats {
     let config = SchedConfig::with_dimm_geometry(2, 2, 4, COLD_ROWS / 16).expect("geometry");
-    let merged = (0..config.channels()).fold(SchedStats::default(), |merged, channel| {
-        let shard = Scheduler::for_channel(config, cold_policy(), channel)
-            .expect("shard")
-            .run(trace.iter().copied(), COLD_MS)
-            .expect("dimm run");
-        merged.merge(&shard)
-    });
-    merged.sim
+    run_scheduler(config, trace, cold_policy()).sim
 }
 
 fn run_one_bank(trace: &[TraceRecord]) -> SimStats {

@@ -601,15 +601,16 @@ const TRACE_FLAGS: [&str; 13] = [
     "--resume",
 ];
 
-/// Writes `stream` to `out` as Chrome `trace_event` JSON and prints its
-/// summary line; returns the JSON, or `None` after reporting a failed
-/// write.
-fn write_trace(
+/// Writes `stream` to `out` as Chrome `trace_event` JSON, prints its
+/// summary line, validates it under `--validate`, and writes the
+/// `--metrics` file: the tail of a fresh and a resumed `vrl trace`.
+fn report_trace(
+    args: &[String],
     out: &str,
     benchmark: &str,
     stats: &vrl_sched::SchedStats,
     stream: &EventStream,
-) -> Option<String> {
+) -> CmdResult {
     let json = chrome_trace_json(
         &stream.events,
         &stream.label,
@@ -618,7 +619,7 @@ fn write_trace(
     );
     if let Err(err) = std::fs::write(out, &json) {
         eprintln!("error: cannot write {out}: {err}");
-        return None;
+        return Ok(ExitCode::FAILURE);
     }
     println!(
         "{benchmark}: {} events ({} dropped) over {} cycles -> {out}",
@@ -626,7 +627,24 @@ fn write_trace(
         stream.dropped,
         stats.sim.total_cycles
     );
-    Some(json)
+    if flag_present(args, "--validate") {
+        match validate_chrome_trace(&json) {
+            Ok(summary) => {
+                let kinds: Vec<&str> = summary.kinds.iter().map(String::as_str).collect();
+                println!(
+                    "valid Chrome trace: {} events across {} banks, kinds: {}",
+                    summary.events,
+                    summary.banks.len(),
+                    kinds.join(", ")
+                );
+            }
+            Err(err) => {
+                eprintln!("{err}");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    }
+    metrics_flag(args, &sched_metrics(stats))
 }
 
 fn cmd_trace(args: &[String]) -> CmdResult {
@@ -640,12 +658,8 @@ fn cmd_trace(args: &[String]) -> CmdResult {
             eprintln!("error: {path} is not a traced scheduler snapshot");
             return Ok(ExitCode::FAILURE);
         };
-        // A resumed trace is written, but not validated or metered.
         let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
-        return Ok(match write_trace(&out, &benchmark, &stats, &stream) {
-            Some(_) => ExitCode::SUCCESS,
-            None => ExitCode::FAILURE,
-        });
+        return report_trace(args, &out, &benchmark, &stats, &stream);
     }
     let Some(benchmark) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
         return Err(UsageError::new(format!(
@@ -693,27 +707,7 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         Ok(_) => unreachable!("a traced scheduler run reports its events"),
         Err(code) => return Ok(code),
     };
-    let Some(json) = write_trace(&out, &benchmark, &stats, &stream) else {
-        return Ok(ExitCode::FAILURE);
-    };
-    if flag_present(args, "--validate") {
-        match validate_chrome_trace(&json) {
-            Ok(summary) => {
-                let kinds: Vec<&str> = summary.kinds.iter().map(String::as_str).collect();
-                println!(
-                    "valid Chrome trace: {} events across {} banks, kinds: {}",
-                    summary.events,
-                    summary.banks.len(),
-                    kinds.join(", ")
-                );
-            }
-            Err(err) => {
-                eprintln!("{err}");
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    }
-    metrics_flag(args, &sched_metrics(&stats))
+    report_trace(args, &out, &benchmark, &stats, &stream)
 }
 
 fn cmd_netlist(args: &[String]) -> CmdResult {

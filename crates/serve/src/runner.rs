@@ -149,7 +149,7 @@ pub fn engine(experiment: &Experiment, front_end: FrontEnd) -> Result<Engine, Er
             channels,
             ranks,
             banks_per_rank,
-        } => Engine::Dimm(experiment.dimm_config(channels, ranks, banks_per_rank)?),
+        } => Engine::Sched(experiment.dimm_config(channels, ranks, banks_per_rank)?),
         FrontEnd::Faulted { fault_seed, guard } => Engine::Faulted {
             faults: FaultConfig::default_scenario(fault_seed),
             guard: guard.then(GuardConfig::default),

@@ -30,7 +30,7 @@ pub enum FrontEnd {
         /// Banks to schedule across (≥ 1).
         banks: u32,
     },
-    /// Full-DIMM scheduler, channel-sharded.
+    /// Full-DIMM scheduler: one instance over every channel.
     Dimm {
         /// Channels (≥ 1).
         channels: u32,

@@ -5,9 +5,10 @@
 //! hashes of stdout and of the `--metrics` / `--out` files against
 //! constants recorded before the engine entry points were unified. Each
 //! case runs in its own temporary working directory so the paths the
-//! CLI prints are relative and stable. Resuming a snapshot with the
-//! wrong subcommand must keep failing with exit code 1 and its typed
-//! message.
+//! CLI prints are relative and stable. A resumed `trace` must honour
+//! `--validate` and `--metrics` as a fresh one does. Resuming a
+//! snapshot with the wrong subcommand must keep failing with exit code
+//! 1 and its typed message.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -147,6 +148,36 @@ fn trace_output_is_pinned() {
         !w.0.join("h.json").exists(),
         "a halted trace writes no --out file"
     );
+}
+
+#[test]
+fn resumed_trace_honours_validate_and_metrics() {
+    let w = WorkDir::new("trace-flags");
+    let fresh = w.vrl(&format!(
+        "trace ferret {SMALL} --out t.json --metrics m.json --validate"
+    ));
+    assert!(fresh.status.success());
+    w.ok(&format!(
+        "trace ferret {SMALL} --out h.json --checkpoint s.snap --checkpoint-every 4000000 --halt-after 1"
+    ));
+    let resumed = w.vrl("trace --resume s.snap --out r.json --metrics rm.json --validate");
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let fresh = String::from_utf8(fresh.stdout).expect("utf-8");
+    let resumed = String::from_utf8(resumed.stdout).expect("utf-8");
+    assert!(fresh.contains("valid Chrome trace: "), "{fresh}");
+    let renamed = fresh
+        .replace("-> t.json", "-> r.json")
+        .replace("to m.json", "to rm.json");
+    assert!(
+        resumed.ends_with(&renamed),
+        "resumed:\n{resumed}\nfresh:\n{fresh}"
+    );
+    assert_eq!(w.file("r.json"), w.file("t.json"));
+    assert_eq!(w.file("rm.json"), w.file("m.json"));
 }
 
 #[test]

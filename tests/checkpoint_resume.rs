@@ -294,7 +294,6 @@ fn engines_without_a_checkpoint_seam_are_typed_errors() {
     let sched = exp.dimm_config(2, 1, 2).expect("256 rows over 4 banks");
     let faults = vrl_dram::dram_sim::fault::FaultConfig::default_scenario(7);
     for (engine, name) in [
-        (Engine::Dimm(sched), "dimm"),
         (Engine::Channel { sched, channel: 0 }, "channel"),
         (
             Engine::Faulted {

@@ -1,9 +1,11 @@
 //! Bit-identity guard for the multi-bank command scheduler.
 //!
 //! serve-cold's `sched` (one channel, 8 banks) and `dimm` (2 channels ×
-//! 2 ranks × 4 banks, one shard per channel, merged) front ends run
-//! `vrl_sched::Scheduler`, and their result frames carry its
-//! statistics. The constants below are FNV-1a 64 hashes of
+//! 2 ranks × 4 banks) front ends run `vrl_sched::Scheduler`, and their
+//! result frames carry its statistics. A `dimm` row runs twice: as the
+//! daemon runs it, one whole-DIMM scheduler through `Experiment::run`,
+//! and as one shard per channel, merged; both must hit its hash. The
+//! constants below are FNV-1a 64 hashes of
 //! `serde_json::to_string(&SchedStats)` for serve-cold's seven
 //! benchmarks × RAIDR/VRL/VRL-Access at 512 rows, recorded from the
 //! scheduler whose every decision scanned the channel's banks. A speed
@@ -16,7 +18,9 @@
 //! with refresh-access parallelization on and off.
 
 use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::{Engine, Outcome};
 use vrl_dram_sim::policy::{AutoRefresh, RefreshPolicy, VrlAccess};
+use vrl_dram_sim::sim::NullObserver;
 use vrl_retention::binning::BinningTable;
 use vrl_retention::profile::BankProfile;
 use vrl_sched::{ReferenceScheduler, SchedConfig, SchedStats, Scheduler};
@@ -240,7 +244,20 @@ fn grid(seed: u64, duration_ms: f64) -> Vec<(&'static str, &'static str, &'stati
                 .expect("sched run");
             out.push(("sched", benchmark, kind.name(), stats_hash(&stats)));
 
-            let stats = (0..dimm.channels())
+            let whole = experiment
+                .run(
+                    &Engine::Sched(dimm),
+                    kind,
+                    trace.iter().copied(),
+                    SPAN_CYCLES,
+                    &mut NullObserver,
+                    |_| {},
+                )
+                .expect("dimm run");
+            let Outcome::Sched(whole) = whole else {
+                unreachable!("a scheduler run reports scheduler stats")
+            };
+            let shards = (0..dimm.channels())
                 .try_fold(SchedStats::default(), |merged, channel| {
                     experiment
                         .run_dimm_channel_spanned_with(
@@ -253,8 +270,14 @@ fn grid(seed: u64, duration_ms: f64) -> Vec<(&'static str, &'static str, &'stati
                         )
                         .map(|shard| merged.merge(&shard))
                 })
-                .expect("dimm run");
-            out.push(("dimm", benchmark, kind.name(), stats_hash(&stats)));
+                .expect("dimm shards");
+            assert_eq!(
+                shards,
+                whole,
+                "{benchmark}/{}: merged shards differ from the whole DIMM",
+                kind.name()
+            );
+            out.push(("dimm", benchmark, kind.name(), stats_hash(&whole)));
         }
     }
     out

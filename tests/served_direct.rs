@@ -44,8 +44,13 @@ fn served_results_match_direct_runs_on_every_front_end() {
             // The fault injector has no span seam: no progress.
             assert!(spans.is_empty());
         } else {
+            // Spans 1..n, each strictly before the end and after the last.
             assert!(!spans.is_empty(), "no progress reported for {json}");
-            assert!(spans.iter().all(|p| p.cycle <= p.end), "{json}");
+            for (i, p) in spans.iter().enumerate() {
+                assert_eq!(p.span as usize, i + 1, "{json}: {p:?}");
+                assert!(p.cycle < p.end, "{json}: {p:?}");
+            }
+            assert!(spans.windows(2).all(|w| w[0].cycle < w[1].cycle), "{json}");
         }
     }
 }
