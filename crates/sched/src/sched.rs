@@ -462,7 +462,10 @@ impl<P: RefreshPolicy> Scheduler<P> {
     /// same unfiltered trace; running one shard per channel yields
     /// per-channel results bit-identical to [`Scheduler::new`]'s
     /// whole-DIMM run (merge shard stats with
-    /// [`SchedStats::merge`](crate::stats::SchedStats::merge)).
+    /// [`SchedStats::merge`](crate::stats::SchedStats::merge)). Every
+    /// product path runs the whole DIMM through [`Scheduler::new`];
+    /// shards remain for the benchmark's per-channel layer replay and
+    /// the shard ≡ whole-DIMM tests.
     ///
     /// # Errors
     ///

@@ -179,7 +179,8 @@ pub struct SchedStats {
 impl SchedStats {
     /// Combines the statistics of channel shards that simulated the
     /// same wall of cycles concurrently (see
-    /// [`Scheduler::for_channel`](crate::sched::Scheduler::for_channel)).
+    /// [`Scheduler::for_channel`](crate::sched::Scheduler::for_channel),
+    /// which names the shards' remaining callers).
     ///
     /// Every event counter sums; the per-bank vectors (full-DIMM sized
     /// in every shard, indexed by global bank) add elementwise; the
