@@ -8,7 +8,10 @@
 //! CLI prints are relative and stable. A resumed `trace` must honour
 //! `--validate` and `--metrics` as a fresh one does. Resuming a
 //! snapshot with the wrong subcommand must keep failing with exit code
-//! 1 and its typed message.
+//! 1 and its typed message. `compare` is pinned the same way (stdout
+//! across pool sizes, its `--metrics` file, and a `--manifest` sweep
+//! plus its re-run with the manifest's bytes), with the hashes recorded
+//! before the sweep entry points were unified.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -178,6 +181,45 @@ fn resumed_trace_honours_validate_and_metrics() {
     );
     assert_eq!(w.file("r.json"), w.file("t.json"));
     assert_eq!(w.file("rm.json"), w.file("m.json"));
+}
+
+const COMPARE: &str = "compare --rows 256 --duration-ms 64";
+
+#[test]
+fn compare_output_metrics_and_manifest_are_pinned() {
+    let w = WorkDir::new("compare");
+    let got = [
+        w.ok(&format!("{COMPARE} --threads 1")),
+        w.ok(&format!("{COMPARE} --threads 3 --metrics m.json")),
+        w.file("m.json"),
+        w.ok(&format!("{COMPARE} --threads 2 --manifest c.snap")),
+        w.file("c.snap"),
+        w.ok(&format!("{COMPARE} --threads 2 --manifest c.snap")),
+        w.file("c.snap"),
+    ];
+    assert_eq!(
+        got,
+        [
+            0xe4e01e17ca806dc7,
+            0xc989a3957b261b53,
+            0x99768e954184bbd7,
+            0x27f77e882708c384,
+            0x00cc0a02a23ffcb3,
+            0x27f77e882708c384,
+            0x00cc0a02a23ffcb3,
+        ],
+        "compare output changed: {got:#018x?}"
+    );
+
+    // A manifest written at another bank size is refused, and left as
+    // it was.
+    let out = w.vrl("compare --rows 128 --duration-ms 64 --threads 2 --manifest c.snap");
+    assert_eq!(out.status.code(), Some(1), "mismatched manifest exit code");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "checkpoint belongs to a different run: manifest experiment configuration differs\n"
+    );
+    assert_eq!(w.file("c.snap"), got[4]);
 }
 
 #[test]
