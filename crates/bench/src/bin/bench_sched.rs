@@ -160,12 +160,11 @@ fn main() {
     // Determinism contract: the scheduled matrix must be bit-identical
     // on the serial path and any pool shape.
     let policies = [PolicyKind::Vrl, PolicyKind::VrlAccess];
-    let serial = experiment
-        .run_sched_matrix_serial(&policies, sched)
-        .unwrap_or_else(|e| fail(&e));
-    let (pooled, _) = experiment
-        .run_sched_matrix_with(&ExecConfig::new(workers), &policies, sched)
-        .unwrap_or_else(|e| fail(&e));
+    let [serial, pooled] = [1, workers].map(|n| {
+        let pool = ExecConfig::new(n);
+        let matrix = experiment.run_matrix(&Engine::Sched(sched), &policies, &pool);
+        matrix.unwrap_or_else(|e| fail(&e)).0
+    });
     let bit_identical = serial == pooled;
     println!("determinism ({workers} workers): bit-identical = {bit_identical}");
 

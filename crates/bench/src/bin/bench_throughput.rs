@@ -34,9 +34,8 @@
 use serde::Serialize;
 
 use vrl_bench::fail;
-use vrl_dram::experiment::{sim_metrics, Experiment, ExperimentConfig, PolicyKind};
+use vrl_dram::experiment::{sim_metrics, Experiment, ExperimentConfig, MatrixCell, PolicyKind};
 use vrl_dram::Engine;
-use vrl_dram_sim::sim::NullObserver;
 use vrl_dram_sim::stats::{SimStats, Throughput};
 use vrl_exec::ExecConfig;
 use vrl_obs::json::JsonValue;
@@ -106,8 +105,11 @@ struct BenchThroughput {
 /// the [`SimStats`] the throughput meter needs is read *back* from the
 /// merged snapshot so the artifact numbers and the registry agree by
 /// construction.
-fn accumulate(cells: &[vrl_dram::experiment::MatrixCell]) -> (SimStats, MetricsSnapshot) {
-    let snapshots: Vec<MetricsSnapshot> = cells.iter().map(|c| sim_metrics(&c.stats)).collect();
+fn accumulate(cells: &[MatrixCell]) -> (SimStats, MetricsSnapshot) {
+    let snapshots: Vec<MetricsSnapshot> = cells
+        .iter()
+        .map(|c| sim_metrics(c.outcome.sim_stats()))
+        .collect();
     let merged = MetricsSnapshot::merged(snapshots.iter()).expect("sim snapshots share one shape");
     let total = SimStats {
         total_cycles: merged.counter("sim.total_cycles"),
@@ -160,12 +162,13 @@ fn main() {
         policies.len()
     );
 
-    let (serial_cells, serial_report) = experiment
-        .run_matrix_with(&ExecConfig::new(1), &policies)
-        .unwrap_or_else(|e| fail(&e));
-    let (parallel_cells, parallel_report) = experiment
-        .run_matrix_with(&ExecConfig::new(workers), &policies)
-        .unwrap_or_else(|e| fail(&e));
+    let matrix = |engine: &Engine, workers: usize| {
+        experiment
+            .run_matrix(engine, &policies, &ExecConfig::new(workers))
+            .unwrap_or_else(|e| fail(&e))
+    };
+    let (serial_cells, serial_report) = matrix(&Engine::Sim, 1);
+    let (parallel_cells, parallel_report) = matrix(&Engine::Sim, workers);
 
     let bit_identical = serial_cells == parallel_cells;
     let (totals, metrics) = accumulate(&serial_cells);
@@ -195,37 +198,18 @@ fn main() {
     // The other two front ends, metered serially over the same matrix:
     // ControllerStats / SchedStats embed SimStats, so they feed the
     // identical events()/throughput() meter.
-    let benchmarks = vrl_trace::WorkloadSpec::BENCHMARKS;
-    let mut front_ends = Vec::new();
-
-    let started = std::time::Instant::now();
-    let mut frfcfs_totals = SimStats::default();
-    for benchmark in benchmarks {
-        for &kind in &policies {
-            let engine = Engine::FrFcfs { queue_depth: 32 };
-            let outcome = experiment
-                .trace(benchmark)
-                .and_then(|trace| {
-                    experiment.run(&engine, kind, trace, 0, &mut NullObserver, |_| {})
-                })
-                .unwrap_or_else(|e| fail(&e));
-            frfcfs_totals.accumulate(outcome.sim_stats());
-        }
-    }
-    let frfcfs_tp = frfcfs_totals.throughput(started.elapsed().as_secs_f64());
-
     let sched = experiment.sched_config(8).unwrap_or_else(|e| fail(&e));
-    let started = std::time::Instant::now();
-    let sched_cells = experiment
-        .run_sched_matrix_serial(&policies, sched)
-        .unwrap_or_else(|e| fail(&e));
-    let mut sched_totals = SimStats::default();
-    for cell in &sched_cells {
-        sched_totals.accumulate(&cell.stats.sim);
-    }
-    let sched_tp = sched_totals.throughput(started.elapsed().as_secs_f64());
-
-    for (front_end, tp) in [("fr-fcfs", &frfcfs_tp), ("scheduled", &sched_tp)] {
+    let mut front_ends = Vec::new();
+    for (front_end, engine) in [
+        ("fr-fcfs", Engine::FrFcfs { queue_depth: 32 }),
+        ("scheduled", Engine::Sched(sched)),
+    ] {
+        let (cells, report) = matrix(&engine, 1);
+        let mut totals = SimStats::default();
+        for cell in &cells {
+            totals.accumulate(cell.outcome.sim_stats());
+        }
+        let tp = totals.throughput(report.wall.as_secs_f64());
         println!(
             "{front_end:>9}: serial front end, {:>7.3} s wall, {:>12.3e} sim cycles/s, \
              {:>11.3e} events/s",
@@ -256,7 +240,7 @@ fn main() {
     let mut soa_wall = 0.0;
     let mut reference_cells = Vec::new();
     let mut soa_cells = Vec::new();
-    for benchmark in benchmarks {
+    for benchmark in WorkloadSpec::BENCHMARKS {
         let spec = WorkloadSpec::parsec(benchmark).expect("known benchmark");
         let trace: Vec<_> = Workload::new(spec, rows, seed)
             .records(duration_ms)

@@ -12,6 +12,7 @@ use serde::Serialize;
 
 use vrl_bench::fail;
 use vrl_dram::experiment::{ComparisonRow, Experiment, ExperimentConfig};
+use vrl_exec::ExecConfig;
 
 #[derive(Serialize)]
 struct Fig4 {
@@ -40,7 +41,9 @@ fn main() {
         "benchmark", "RAIDR", "VRL", "VRL-Access"
     );
 
-    let rows = experiment.compare_all().unwrap_or_else(|e| fail(&e));
+    let rows = experiment
+        .compare_all(&ExecConfig::from_env())
+        .unwrap_or_else(|e| fail(&e));
     let (mut sum_v, mut sum_va) = (0.0, 0.0);
     for row in &rows {
         println!(

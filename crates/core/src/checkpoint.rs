@@ -555,18 +555,21 @@ pub struct MatrixManifest {
     cells: Vec<MatrixCell>,
 }
 
+/// A manifest holds single-bank simulator cells
+/// ([`Experiment::run_matrix_manifested`] runs [`Engine::Sim`]), each
+/// encoded as benchmark, policy and [`SimStats`].
 impl vrl_snap::Snapshot for MatrixCell {
     fn save(&self, enc: &mut Encoder) {
         self.benchmark.save(enc);
         self.policy.save(enc);
-        self.stats.save(enc);
+        self.outcome.sim_stats().save(enc);
     }
 
     fn load(dec: &mut Decoder<'_>) -> Result<Self, SnapError> {
         Ok(MatrixCell {
             benchmark: String::load(dec)?,
             policy: PolicyKind::load(dec)?,
-            stats: SimStats::load(dec)?,
+            outcome: Outcome::Sim(SimStats::load(dec)?),
         })
     }
 }
@@ -595,12 +598,12 @@ impl MatrixManifest {
 }
 
 impl Experiment {
-    /// Runs the (benchmark × policy) matrix with a crash-consistent
-    /// manifest at `path`: after each benchmark's group of cells the
-    /// manifest is atomically rewritten, and a re-run against an
-    /// existing manifest re-simulates only the missing cells. Returns
-    /// the full matrix in benchmark-major order, bit-identical to
-    /// [`Experiment::run_matrix_with`].
+    /// Runs the (benchmark × policy) matrix on [`Engine::Sim`] with a
+    /// crash-consistent manifest at `path`: after each benchmark's group
+    /// of cells the manifest is atomically rewritten, and a re-run
+    /// against an existing manifest re-simulates only the missing cells.
+    /// Returns the full matrix in benchmark-major order, bit-identical
+    /// to [`Experiment::run_matrix`].
     ///
     /// # Errors
     ///
@@ -650,10 +653,7 @@ impl Experiment {
                 continue;
             }
             let jobs: Vec<(&str, PolicyKind)> = missing.iter().map(|&k| (benchmark, k)).collect();
-            let cells = vrl_exec::map_ordered(cfg, &jobs, |_, &(benchmark, kind)| {
-                self.matrix_cell(benchmark, kind)
-            })
-            .map_err(Error::from)?;
+            let (cells, _) = self.run_cells(&Engine::Sim, &jobs, cfg)?;
             manifest.cells.extend(cells);
             let mut enc = Encoder::new();
             manifest.save(&mut enc);

@@ -4,11 +4,11 @@
 //! model, the profiled bank, the refresh plan, the power model — shared
 //! via `Arc` so that cloning an [`Experiment`] (and fanning simulation
 //! jobs across the [`vrl_exec`] worker pool) never recomputes or copies
-//! them. [`Experiment::compare_all`] runs the full
-//! (benchmark × policy) matrix through the pool and is bit-identical to
-//! the serial path ([`Experiment::compare_all_serial`]): each job is an
-//! independent deterministic simulation, and results are assembled in
-//! job order.
+//! them. [`Experiment::run_matrix`] is the one sweep runner: it crosses
+//! every benchmark with a policy list on any [`Engine`], one
+//! [`Experiment::run`] per pool job, and returns the cells in job order,
+//! so a sweep is bit-identical on any pool shape.
+//! [`Experiment::compare_all`] is the Figure 4 matrix on top of it.
 
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use vrl_retention::profile::BankProfile;
 use vrl_sched::{SchedConfig, SchedStats};
 use vrl_trace::{TraceRecord, Workload, WorkloadSpec};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Outcome};
 use crate::error::Error;
 use crate::physics::ModelPhysics;
 use crate::plan::RefreshPlan;
@@ -344,31 +344,28 @@ impl Experiment {
         )
     }
 
-    /// The Figure 4 comparison for one benchmark.
+    /// The Figure 4 comparison for one benchmark, run serially.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownWorkload`] for an unknown benchmark name.
     pub fn compare(&self, benchmark: &str) -> Result<ComparisonRow, Error> {
-        let raidr = self.run_policy(PolicyKind::Raidr, benchmark)?;
-        let vrl = self.run_policy(PolicyKind::Vrl, benchmark)?;
-        let vrl_access = self.run_policy(PolicyKind::VrlAccess, benchmark)?;
-        Ok(self.assemble_row(benchmark, &raidr, &vrl, &vrl_access))
+        let cells = Self::COMPARE_POLICIES
+            .iter()
+            .map(|&kind| self.cell(&Engine::Sim, benchmark, kind))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.assemble_row(&cells))
     }
 
-    /// Builds one comparison row from its three policy runs. Shared by
-    /// the serial and parallel paths so their arithmetic is identical.
-    fn assemble_row(
-        &self,
-        benchmark: &str,
-        raidr: &SimStats,
-        vrl: &SimStats,
-        vrl_access: &SimStats,
-    ) -> ComparisonRow {
+    /// Builds one comparison row from its benchmark's RAIDR, VRL and
+    /// VRL-Access cells. Shared by [`Experiment::compare`] and
+    /// [`Experiment::compare_all`] so their arithmetic is identical.
+    fn assemble_row(&self, cells: &[MatrixCell]) -> ComparisonRow {
+        let [raidr, vrl, vrl_access] = [0, 1, 2].map(|i| cells[i].outcome.sim_stats());
         let raidr_power: PowerBreakdown = self.power.breakdown(raidr);
         let va_power: PowerBreakdown = self.power.breakdown(vrl_access);
         ComparisonRow {
-            benchmark: benchmark.to_owned(),
+            benchmark: cells[0].benchmark.clone(),
             raidr_cycles: raidr.refresh_busy_cycles,
             vrl_cycles: vrl.refresh_busy_cycles,
             vrl_access_cycles: vrl_access.refresh_busy_cycles,
@@ -384,94 +381,69 @@ impl Experiment {
     const COMPARE_POLICIES: [PolicyKind; 3] =
         [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess];
 
-    /// The full Figure 4 — every benchmark — fanned across the default
-    /// worker pool (`VRL_THREADS` or the host's available parallelism).
+    /// The full Figure 4 — every benchmark — fanned across `pool`.
     ///
     /// # Errors
     ///
     /// Propagates the first failing benchmark's [`Error`] (in job
     /// order) instead of silently dropping it; a worker panic surfaces
     /// as [`Error::WorkerPanic`].
-    pub fn compare_all(&self) -> Result<Vec<ComparisonRow>, Error> {
-        self.compare_all_with(&ExecConfig::from_env())
-    }
-
-    /// [`Experiment::compare_all`] on an explicit pool configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`Experiment::compare_all`].
-    pub fn compare_all_with(&self, cfg: &ExecConfig) -> Result<Vec<ComparisonRow>, Error> {
-        let cells = self.run_matrix_with(cfg, &Self::COMPARE_POLICIES)?.0;
+    pub fn compare_all(&self, pool: &ExecConfig) -> Result<Vec<ComparisonRow>, Error> {
+        let (cells, _) = self.run_matrix(&Engine::Sim, &Self::COMPARE_POLICIES, pool)?;
         Ok(cells
             .chunks_exact(Self::COMPARE_POLICIES.len())
-            .map(|group| {
-                self.assemble_row(
-                    &group[0].benchmark,
-                    &group[0].stats,
-                    &group[1].stats,
-                    &group[2].stats,
-                )
-            })
+            .map(|group| self.assemble_row(group))
             .collect())
     }
 
-    /// The strictly serial Figure 4 path: the baseline the determinism
-    /// tests and the throughput bench compare the pool against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing benchmark's [`Error`].
-    pub fn compare_all_serial(&self) -> Result<Vec<ComparisonRow>, Error> {
-        WorkloadSpec::BENCHMARKS
-            .iter()
-            .map(|name| self.compare(name))
-            .collect()
-    }
-
-    /// Runs the full (benchmark × policy) matrix through the worker
-    /// pool: every workload in Figure 4 order crossed with `policies`,
-    /// one simulation job each, results in deterministic job order
-    /// (benchmark-major). Also returns the pool's timing report — the
-    /// raw material for the throughput meter.
+    /// Runs the (benchmark × policy) matrix on `engine` through the
+    /// worker pool: every workload in Figure 4 order crossed with
+    /// `policies`, one unsegmented, unobserved [`Experiment::run`] per
+    /// job, results in job order (benchmark-major). Also returns the
+    /// pool's timing report — the raw material for the throughput meter.
     ///
     /// # Errors
     ///
     /// Propagates the lowest-job-index failure; worker panics surface
     /// as [`Error::WorkerPanic`].
-    pub fn run_matrix_with(
+    pub fn run_matrix(
         &self,
-        cfg: &ExecConfig,
+        engine: &Engine,
         policies: &[PolicyKind],
+        pool: &ExecConfig,
     ) -> Result<(Vec<MatrixCell>, PoolReport), Error> {
-        pooled_matrix(cfg, policies, |benchmark, kind| {
-            self.matrix_cell(benchmark, kind)
-        })
+        let jobs: Vec<_> = matrix_jobs(policies).collect();
+        self.run_cells(engine, &jobs, pool)
     }
 
-    /// The serial reference for [`Experiment::run_matrix_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run's [`Error`].
-    pub fn run_matrix_serial(&self, policies: &[PolicyKind]) -> Result<Vec<MatrixCell>, Error> {
-        matrix_jobs(policies)
-            .map(|(benchmark, kind)| self.matrix_cell(benchmark, kind))
-            .collect()
-    }
-
-    /// One single-bank (benchmark × policy) matrix cell.
-    pub(crate) fn matrix_cell(
+    /// Runs each (benchmark, policy) job on `engine` through the worker
+    /// pool, in job order, with the pool's timing report.
+    pub(crate) fn run_cells(
         &self,
+        engine: &Engine,
+        jobs: &[(&str, PolicyKind)],
+        pool: &ExecConfig,
+    ) -> Result<(Vec<MatrixCell>, PoolReport), Error> {
+        let (result, report) = map_ordered_report(pool, jobs, |_, &(benchmark, kind)| {
+            self.cell(engine, benchmark, kind)
+        });
+        Ok((result.map_err(Error::from)?, report))
+    }
+
+    /// One matrix cell: `kind` on `engine` over the benchmark's streamed
+    /// trace — the job every sweep runs.
+    pub(crate) fn cell(
+        &self,
+        engine: &Engine,
         benchmark: &str,
         kind: PolicyKind,
     ) -> Result<MatrixCell, Error> {
         let trace = self.trace(benchmark)?;
-        let outcome = self.run(&Engine::Sim, kind, trace, 0, &mut NullObserver, |_| {})?;
+        let outcome = self.run(engine, kind, trace, 0, &mut NullObserver, |_| {})?;
         Ok(MatrixCell {
             benchmark: benchmark.to_owned(),
             policy: kind,
-            stats: outcome.into_sim(),
+            outcome,
         })
     }
 
@@ -531,62 +503,6 @@ impl Experiment {
         )?)
     }
 
-    /// The scheduler-front-end (benchmark × policy) matrix through the
-    /// worker pool, in deterministic job order — the scheduled
-    /// counterpart of [`Experiment::run_matrix_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-job-index failure; worker panics surface as
-    /// [`Error::WorkerPanic`].
-    pub fn run_sched_matrix_with(
-        &self,
-        cfg: &ExecConfig,
-        policies: &[PolicyKind],
-        sched: SchedConfig,
-    ) -> Result<(Vec<SchedCell>, PoolReport), Error> {
-        pooled_matrix(cfg, policies, |benchmark, kind| {
-            self.sched_cell(benchmark, kind, sched)
-        })
-    }
-
-    /// The serial reference for [`Experiment::run_sched_matrix_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run's [`Error`].
-    pub fn run_sched_matrix_serial(
-        &self,
-        policies: &[PolicyKind],
-        sched: SchedConfig,
-    ) -> Result<Vec<SchedCell>, Error> {
-        matrix_jobs(policies)
-            .map(|(benchmark, kind)| self.sched_cell(benchmark, kind, sched))
-            .collect()
-    }
-
-    fn sched_cell(
-        &self,
-        benchmark: &str,
-        kind: PolicyKind,
-        sched: SchedConfig,
-    ) -> Result<SchedCell, Error> {
-        let trace = self.trace(benchmark)?;
-        let outcome = self.run(
-            &Engine::Sched(sched),
-            kind,
-            trace,
-            0,
-            &mut NullObserver,
-            |_| {},
-        )?;
-        Ok(SchedCell {
-            benchmark: benchmark.to_owned(),
-            policy: kind,
-            stats: outcome.into_sched(),
-        })
-    }
-
     /// [`Experiment::run`] on [`Engine::Faulted`] over the benchmark's
     /// streamed trace. Kept for `perfbench/`.
     ///
@@ -622,19 +538,6 @@ pub(crate) fn matrix_jobs(
     WorkloadSpec::BENCHMARKS
         .into_iter()
         .flat_map(move |name| policies.iter().map(move |&kind| (name, kind)))
-}
-
-/// Runs `cell` for every matrix job through the worker pool, in job
-/// order, with the pool's timing report.
-fn pooled_matrix<T: Send>(
-    cfg: &ExecConfig,
-    policies: &[PolicyKind],
-    cell: impl Fn(&str, PolicyKind) -> Result<T, Error> + Sync,
-) -> Result<(Vec<T>, PoolReport), Error> {
-    let jobs: Vec<_> = matrix_jobs(policies).collect();
-    let (result, report) =
-        map_ordered_report(cfg, &jobs, |_, &(benchmark, kind)| cell(benchmark, kind));
-    Ok((result.map_err(Error::from)?, report))
 }
 
 /// Routes one run's [`SimStats`] counters through a fresh metrics
@@ -694,29 +597,15 @@ pub fn sched_metrics(stats: &SchedStats) -> MetricsSnapshot {
     base
 }
 
-/// One cell of the (benchmark × policy) simulation matrix
-/// ([`Experiment::run_matrix_with`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One cell of a (benchmark × policy) sweep ([`Experiment::run_matrix`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     /// Benchmark name.
     pub benchmark: String,
     /// The policy that ran.
     pub policy: PolicyKind,
-    /// The run's counters.
-    pub stats: SimStats,
-}
-
-/// One cell of the scheduler-front-end simulation matrix
-/// ([`Experiment::run_sched_matrix_with`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedCell {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// The policy that ran.
-    pub policy: PolicyKind,
-    /// The run's counters (scheduler metrics plus the base
-    /// [`SimStats`]).
-    pub stats: SchedStats,
+    /// What the engine reported.
+    pub outcome: Outcome,
 }
 
 /// The result of a fault-injected run ([`Experiment::run_faulted`]).
@@ -737,7 +626,6 @@ pub struct FaultedOutcome {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::engine::Outcome;
 
     fn small() -> Experiment {
         Experiment::new(ExperimentConfig {
@@ -842,26 +730,6 @@ pub(crate) mod tests {
                 .into_frfcfs();
             assert_eq!(s.sim, c.sim, "{} diverged", kind.name());
             assert_eq!(s.reordered, c.reordered);
-        }
-    }
-
-    #[test]
-    fn sched_matrix_is_deterministic_across_pool_shapes() {
-        let e = Experiment::new(ExperimentConfig {
-            rows: 256,
-            duration_ms: 128.0,
-            ..Default::default()
-        });
-        let sched = e.sched_config(4).expect("4 banks");
-        let policies = [PolicyKind::Vrl, PolicyKind::VrlAccess];
-        let serial = e
-            .run_sched_matrix_serial(&policies, sched)
-            .expect("serial matrix");
-        for workers in [1, 2, 5] {
-            let (cells, _) = e
-                .run_sched_matrix_with(&ExecConfig::new(workers), &policies, sched)
-                .expect("pooled matrix");
-            assert_eq!(cells, serial, "{workers}-worker pool diverged");
         }
     }
 
@@ -979,7 +847,7 @@ pub(crate) mod tests {
     #[test]
     fn compare_all_propagates_errors_instead_of_dropping() {
         // An experiment whose matrix contains a failing job must surface
-        // the error, not return a shorter Vec. `run_matrix_with` is the
+        // the error, not return a shorter Vec. `run_matrix` is the
         // machinery `compare_all` sits on; drive it directly with a bad
         // job via run_policy on an unknown name.
         let e = small();
@@ -987,7 +855,9 @@ pub(crate) mod tests {
         assert!(matches!(err, Error::UnknownWorkload { .. }));
         // All benchmark names are known, so the happy path returns every
         // row — one per benchmark, in Figure 4 order.
-        let rows = e.compare_all().expect("all benchmarks known");
+        let rows = e
+            .compare_all(&ExecConfig::from_env())
+            .expect("all benchmarks known");
         assert_eq!(rows.len(), WorkloadSpec::BENCHMARKS.len());
         for (row, name) in rows.iter().zip(WorkloadSpec::BENCHMARKS) {
             assert_eq!(row.benchmark, name);
@@ -1003,10 +873,11 @@ pub(crate) mod tests {
             duration_ms: 64.0,
             ..Default::default()
         });
-        let serial = e.compare_all_serial().expect("serial path");
-        let parallel = e
-            .compare_all_with(&vrl_exec::ExecConfig::new(4))
-            .expect("parallel path");
+        let serial: Vec<_> = WorkloadSpec::BENCHMARKS
+            .iter()
+            .map(|name| e.compare(name).expect("known"))
+            .collect();
+        let parallel = e.compare_all(&ExecConfig::new(4)).expect("parallel path");
         assert_eq!(serial, parallel);
     }
 
@@ -1019,7 +890,7 @@ pub(crate) mod tests {
         });
         let policies = [PolicyKind::Raidr, PolicyKind::Vrl];
         let (cells, report) = e
-            .run_matrix_with(&vrl_exec::ExecConfig::new(2), &policies)
+            .run_matrix(&Engine::Sim, &policies, &ExecConfig::new(2))
             .expect("known benchmarks");
         assert_eq!(cells.len(), WorkloadSpec::BENCHMARKS.len() * 2);
         assert_eq!(report.jobs, cells.len());
@@ -1027,7 +898,9 @@ pub(crate) mod tests {
             assert_eq!(cell.benchmark, WorkloadSpec::BENCHMARKS[i / 2]);
             assert_eq!(cell.policy, policies[i % 2]);
         }
-        let serial = e.run_matrix_serial(&policies).expect("serial matrix");
+        let (serial, _) = e
+            .run_matrix(&Engine::Sim, &policies, &ExecConfig::new(1))
+            .expect("serial matrix");
         assert_eq!(cells, serial);
     }
 

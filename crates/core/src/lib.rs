@@ -16,9 +16,10 @@
 //!   integrity checker verify a plan against the circuit model,
 //! * [`overhead`] — closed-form refresh-overhead accounting,
 //! * [`experiment`] — the end-to-end harness behind the paper's Figure 4
-//!   (trace → engine → policy → statistics → power); the full
-//!   (benchmark × policy) matrix fans across the `vrl-exec` worker pool
-//!   with bit-identical results to the serial path,
+//!   (trace → engine → policy → statistics → power); one sweep runner,
+//!   [`Experiment::run_matrix`], fans the (benchmark × policy) matrix on
+//!   any engine across the `vrl-exec` worker pool, bit-identical on any
+//!   pool shape,
 //! * [`engine`] — the one engine vocabulary ([`Engine`], [`Outcome`])
 //!   and the one entry point, [`Experiment::run`]: the single-bank
 //!   simulator, the FR-FCFS controller, the multi-bank scheduler (one

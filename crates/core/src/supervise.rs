@@ -28,6 +28,7 @@ use vrl_exec::{ExecConfig, Quarantined, Supervisor, SupervisorCounters, Supervis
 use vrl_obs::recorder::NO_ROW;
 use vrl_obs::{Event, EventKind, MetricsRegistry, MetricsSnapshot};
 
+use crate::engine::Engine;
 use crate::error::Error;
 use crate::experiment::{matrix_jobs, Experiment, MatrixCell, PolicyKind};
 
@@ -110,10 +111,10 @@ pub struct SupervisedMatrix {
 }
 
 impl Experiment {
-    /// Runs explicit (benchmark, policy) jobs under a supervision
-    /// policy. A job whose benchmark is unknown (or that otherwise
-    /// fails with a typed error) is quarantined immediately — typed
-    /// errors are deterministic domain failures, not flaky
+    /// Runs explicit (benchmark, policy) jobs on [`Engine::Sim`] under
+    /// a supervision policy. A job whose benchmark is unknown (or that
+    /// otherwise fails with a typed error) is quarantined immediately —
+    /// typed errors are deterministic domain failures, not flaky
     /// infrastructure — while panicking jobs are retried per `sup` and
     /// every sibling runs to completion.
     pub fn run_jobs_supervised(
@@ -123,7 +124,7 @@ impl Experiment {
         jobs: &[(String, PolicyKind)],
     ) -> SupervisedMatrix {
         let batch = vrl_exec::map_supervised(cfg, sup, jobs, |_, (benchmark, kind)| {
-            self.matrix_cell(benchmark, *kind)
+            self.cell(&Engine::Sim, benchmark, *kind)
         });
         SupervisedMatrix {
             events: supervisor_events_to_obs(&batch.events),
@@ -135,9 +136,8 @@ impl Experiment {
     }
 
     /// Runs the full (benchmark × policy) matrix under a supervision
-    /// policy, benchmark-major like
-    /// [`Experiment::run_matrix_with`](Experiment), with per-job
-    /// quarantine instead of first-failure abort.
+    /// policy, benchmark-major like [`Experiment::run_matrix`], with
+    /// per-job quarantine instead of first-failure abort.
     pub fn run_matrix_supervised(
         &self,
         cfg: &ExecConfig,

@@ -10,9 +10,9 @@
 //!
 //! Design:
 //!
-//! * **Chunked job queue** — workers claim contiguous chunks of job
-//!   indices from a shared atomic cursor ([`ExecConfig::chunk`]); each
-//!   result is written into its job's dedicated slot.
+//! * **Shared job queue** — workers claim one job index at a time from
+//!   a shared atomic cursor; each result is written into its job's
+//!   dedicated slot.
 //! * **Run to completion** — a failing or panicking job does not cancel
 //!   its siblings; after all jobs finish, the failure with the *lowest
 //!   job index* is propagated (deterministic error selection).
@@ -61,18 +61,13 @@ pub struct ExecConfig {
     /// Worker threads to spawn (clamped to at least 1 and at most the
     /// job count at run time).
     pub workers: usize,
-    /// Jobs claimed per queue grab. Simulation jobs are seconds-coarse,
-    /// so the default of 1 gives the best load balance; raise it for
-    /// micro-jobs where the atomic claim would dominate.
-    pub chunk: usize,
 }
 
 impl ExecConfig {
-    /// A pool with `workers` threads and chunk size 1.
+    /// A pool with `workers` threads.
     pub fn new(workers: usize) -> Self {
         ExecConfig {
             workers: workers.max(1),
-            chunk: 1,
         }
     }
 
@@ -85,18 +80,6 @@ impl ExecConfig {
             .filter(|&w| w > 0)
             .unwrap_or_else(available_workers);
         Self::new(workers)
-    }
-
-    /// Overrides the chunk size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk size must be positive");
-        self.chunk = chunk;
-        self
     }
 }
 
@@ -234,7 +217,6 @@ where
 {
     let jobs = items.len();
     let workers = cfg.workers.max(1).min(jobs.max(1));
-    let chunk = cfg.chunk.max(1);
     let started = Instant::now();
 
     let mut slots: Vec<Option<Result<T, ExecError<E>>>> = Vec::new();
@@ -265,21 +247,18 @@ where
                 scope.spawn(move || {
                     let t0 = Instant::now();
                     loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= jobs {
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        if idx >= jobs {
                             break;
                         }
-                        let end = (start + chunk).min(jobs);
-                        for idx in start..end {
-                            let j0 = Instant::now();
-                            let out = run_one(f, idx, &items[idx]);
-                            let elapsed = j0.elapsed();
-                            let mut guard = shared_slots.lock().expect("result lock");
-                            guard[idx] = Some(out);
-                            drop(guard);
-                            let mut guard = shared_job_wall.lock().expect("job-wall lock");
-                            guard[idx] = elapsed;
-                        }
+                        let j0 = Instant::now();
+                        let out = run_one(f, idx, &items[idx]);
+                        let elapsed = j0.elapsed();
+                        let mut guard = shared_slots.lock().expect("result lock");
+                        guard[idx] = Some(out);
+                        drop(guard);
+                        let mut guard = shared_job_wall.lock().expect("job-wall lock");
+                        guard[idx] = elapsed;
                     }
                     let elapsed = t0.elapsed();
                     let mut guard = shared_busy.lock().expect("busy lock");
@@ -602,8 +581,7 @@ where
         // returns Err and absorbs panics). Degrade to a serial pass.
         Err(_) => {
             degraded = true;
-            let serial = ExecConfig::new(1).with_chunk(cfg.chunk);
-            let (retried, serial_report) = run(&serial);
+            let (retried, serial_report) = run(&ExecConfig::new(1));
             report = serial_report;
             retried.unwrap_or_else(|_| {
                 (0..items.len())
@@ -640,8 +618,7 @@ where
         // the per-job outcomes are pure, so this changes nothing
         // observable beyond exercising the degraded (thread-free) path.
         if report.workers > 1 {
-            let serial = ExecConfig::new(1).with_chunk(cfg.chunk);
-            let (retried, serial_report) = run(&serial);
+            let (retried, serial_report) = run(&ExecConfig::new(1));
             if let Ok(v) = retried {
                 outcome = v;
                 report = serial_report;
@@ -963,8 +940,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_claims_cover_every_job() {
-        let cfg = ExecConfig::new(3).with_chunk(7);
+    fn claims_cover_every_job() {
+        let cfg = ExecConfig::new(3);
         let items: Vec<usize> = (0..50).collect();
         let out = map_ordered(&cfg, &items, |idx, &x| {
             assert_eq!(idx, x);

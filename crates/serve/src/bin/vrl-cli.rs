@@ -452,14 +452,16 @@ fn cmd_compare(args: &[String]) -> CmdResult {
         "bank: {rows} rows, {duration_ms} ms simulated, {} workers",
         exec.workers
     );
-    // Run the matrix directly (rather than `compare_all_with`) so the
+    // Run the matrix directly (rather than `compare_all`) so the
     // per-run stats are on hand for an optional `--metrics` snapshot
     // without simulating twice. `--manifest` swaps in the
     // crash-consistent sweep that persists completed cells.
     let policies = [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess];
     let matrix = match flag_value(args, "--manifest")? {
         Some(path) => experiment.run_matrix_manifested(&exec, &policies, Path::new(&path)),
-        None => experiment.run_matrix_with(&exec, &policies).map(|(c, _)| c),
+        None => experiment
+            .run_matrix(&Engine::Sim, &policies, &exec)
+            .map(|(c, _)| c),
     };
     let cells = match matrix {
         Ok(cells) => cells,
@@ -473,17 +475,20 @@ fn cmd_compare(args: &[String]) -> CmdResult {
         "benchmark", "RAIDR", "VRL", "VRL-Access"
     );
     for group in cells.chunks_exact(policies.len()) {
-        let raidr = group[0].stats.refresh_busy_cycles as f64;
+        let busy = |i: usize| group[i].outcome.sim_stats().refresh_busy_cycles as f64;
         println!(
             "{:>14} {:>8.3} {:>8.3} {:>12.3}",
             group[0].benchmark,
             1.0,
-            group[1].stats.refresh_busy_cycles as f64 / raidr,
-            group[2].stats.refresh_busy_cycles as f64 / raidr
+            busy(1) / busy(0),
+            busy(2) / busy(0)
         );
     }
     if let Some(path) = flag_value(args, "--metrics")? {
-        let snapshots: Vec<MetricsSnapshot> = cells.iter().map(|c| sim_metrics(&c.stats)).collect();
+        let snapshots: Vec<MetricsSnapshot> = cells
+            .iter()
+            .map(|c| sim_metrics(c.outcome.sim_stats()))
+            .collect();
         let merged = MetricsSnapshot::merged(snapshots.iter())
             .expect("sim metric snapshots share one shape");
         if !write_metrics(&path, &merged) {

@@ -327,7 +327,7 @@ fn manifested_matrix_matches_direct_runs_and_resumes() {
     let scratch = Scratch::new("manifest");
 
     let direct = exp
-        .run_matrix_with(&pool, &policies)
+        .run_matrix(&Engine::Sim, &policies, &pool)
         .expect("direct matrix")
         .0;
     let fresh = exp
