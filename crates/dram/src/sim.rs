@@ -315,6 +315,12 @@ impl<P: RefreshPolicy> Simulator<P> {
     ///
     /// Returns the number of records consumed (what a resumed run must
     /// skip when regenerating a deterministic trace).
+    ///
+    /// The loop holds the refresh queue's earliest deadline and drains
+    /// only when it lies before the record: a drain with nothing due
+    /// before its horizon pops nothing and polls nothing, and only a
+    /// drain pushes deadlines, so skipping it is exact. The deadline is
+    /// read on the span's first record, not kept across spans.
     pub fn run_span_observed<I, O>(
         &mut self,
         trace: &mut std::iter::Peekable<I>,
@@ -326,17 +332,28 @@ impl<P: RefreshPolicy> Simulator<P> {
         O: SimObserver,
     {
         let mut consumed = 0;
+        let mut next_due = None;
         while let Some(&record) = trace.peek() {
             if record.cycle >= span_end {
                 break;
             }
             trace.next();
             consumed += 1;
-            self.drain_refreshes(record.cycle, Some(record.cycle), observer);
+            let due = *next_due.get_or_insert_with(|| self.next_due());
+            if due < record.cycle {
+                self.drain_refreshes(record.cycle, Some(record.cycle), observer);
+                next_due = Some(self.next_due());
+            }
             self.poll_faults(record.cycle, observer);
             self.service_access(record, observer);
         }
         consumed
+    }
+
+    /// The refresh queue's earliest deadline (`u64::MAX` when empty).
+    #[inline(always)]
+    fn next_due(&mut self) -> u64 {
+        self.refresh_queue.next_due().unwrap_or(u64::MAX)
     }
 
     /// Drains the remaining refresh work up to `end` and finalizes the
@@ -439,7 +456,12 @@ impl<P: RefreshPolicy> Simulator<P> {
     /// hot loop: forced inline, as in the scheduler's loop).
     #[inline(always)]
     fn service_access<O: SimObserver>(&mut self, record: TraceRecord, observer: &mut O) {
-        let row = record.row % self.config.rows;
+        let rows = self.config.rows;
+        let row = if record.row < rows {
+            record.row
+        } else {
+            record.row % rows
+        };
         let start = self.bank.ready_at(record.cycle);
         self.stats.stall_cycles += start - record.cycle;
         self.stats.accesses += 1;

@@ -1,8 +1,14 @@
 //! Hot-loop meter: replays materialized traces through the engines and
 //! prints wall time per event, with trace generation outside the timed
-//! region.
+//! region, and times the Figure 4 cell's two layers.
 //!
-//! The first section replays serve-cold's seven benchmarks at its
+//! The Figure 4 section runs fig4-stream's cell geometry (8192 rows,
+//! 256 ms, 14 benchmarks × RAIDR/VRL/VRL-Access over a generated
+//! retention profile) three ways: the trace generator alone (ns/record),
+//! `dram::sim` over the materialized trace (ns/event), and the streamed
+//! cell, generation into `dram::sim`, as Figure 4 runs it (ns/record).
+//!
+//! The next section replays serve-cold's seven benchmarks at its
 //! geometry (512 rows, 64 ms) through every engine in one process:
 //! `dram::sim`, `FrFcfsController` (depth 8), the scheduler at 8 banks
 //! and as one whole 2 × 2 × 4 DIMM (as the daemon runs it), and the
@@ -13,12 +19,14 @@
 //!
 //! Run with `cargo run --release -p vrl-sched --example hotloop`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use vrl_dram_sim::policy::{RefreshPolicy, VrlAccess};
+use vrl_dram_sim::policy::{Raidr, RefreshPolicy, Vrl, VrlAccess};
 use vrl_dram_sim::{FrFcfsController, SimConfig, SimStats, Simulator};
 use vrl_retention::binning::BinningTable;
 use vrl_retention::profile::BankProfile;
+use vrl_retention::RetentionDistribution;
 use vrl_sched::{ReferenceScheduler, SchedConfig, SchedStats, Scheduler};
 use vrl_trace::{Op, TraceRecord, Workload, WorkloadSpec};
 
@@ -139,17 +147,105 @@ const ENGINES: [Engine; 5] = [
     },
 ];
 
-/// Median wall seconds of [`REPEATS`] runs, and the last run's stats.
-fn median_run(engine: &Engine, trace: &[TraceRecord]) -> (f64, SimStats) {
-    let mut walls = Vec::with_capacity(REPEATS);
-    let mut stats = SimStats::default();
-    for _ in 0..REPEATS {
+/// Median wall seconds of `repeats` runs, and the last run's result.
+fn median_secs<T>(repeats: usize, mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut walls = Vec::with_capacity(repeats);
+    let mut out = None;
+    for _ in 0..repeats {
         let t0 = Instant::now();
-        stats = (engine.run)(trace);
+        out = Some(run());
         walls.push(t0.elapsed().as_secs_f64());
     }
     walls.sort_by(f64::total_cmp);
-    (walls[REPEATS / 2], stats)
+    (walls[repeats / 2], out.expect("at least one run"))
+}
+
+/// Median wall seconds of [`REPEATS`] runs, and the last run's stats.
+fn median_run(engine: &Engine, trace: &[TraceRecord]) -> (f64, SimStats) {
+    median_secs(REPEATS, || (engine.run)(trace))
+}
+
+/// fig4-stream's cell: the paper's bank over half the paper's horizon.
+const FIG4_ROWS: u32 = 8192;
+const FIG4_MS: f64 = 256.0;
+/// Timed runs per (layer, benchmark, policy) at Figure 4 scale.
+const FIG4_REPEATS: usize = 3;
+
+/// Wall seconds of the Figure 4 layers, summed over cells.
+#[derive(Default)]
+struct Fig4Walls {
+    generate: f64,
+    simulate: f64,
+    streamed: f64,
+}
+
+/// Times one policy's cell over `workload`: `dram::sim` over the
+/// materialized `trace`, and the streamed cell, which must agree.
+fn fig4_cell<P: RefreshPolicy + Clone>(
+    policy: &P,
+    workload: &Workload,
+    trace: &[TraceRecord],
+    walls: &mut Fig4Walls,
+) -> u64 {
+    let sim = || Simulator::new(SimConfig::with_rows(FIG4_ROWS), policy.clone());
+    let (secs, replayed) = median_secs(FIG4_REPEATS, || sim().run(trace.iter().copied(), FIG4_MS));
+    walls.simulate += secs;
+    let (secs, streamed) = median_secs(FIG4_REPEATS, || {
+        sim().run(workload.records(FIG4_MS), FIG4_MS)
+    });
+    walls.streamed += secs;
+    assert_eq!(streamed, replayed, "streamed and replayed cells diverged");
+    streamed.events()
+}
+
+fn figure4() {
+    println!(
+        "Figure 4 cell: {FIG4_ROWS} rows, {FIG4_MS} ms, seed {COLD_SEED}, 14 benchmarks x \
+         RAIDR/VRL/VRL-Access; median of {FIG4_REPEATS} runs"
+    );
+    let profile = BankProfile::generate(
+        &RetentionDistribution::liu_et_al(),
+        FIG4_ROWS as usize,
+        32,
+        COLD_SEED,
+    );
+    let bins = BinningTable::from_profile(&profile);
+    let mprsf: Vec<u8> = (0..FIG4_ROWS).map(|r| (r % 4) as u8).collect();
+    let raidr = Raidr::new(bins.clone());
+    let vrl = Vrl::new(bins.clone(), mprsf.clone());
+    let vrl_access = VrlAccess::new(bins, mprsf);
+    let mut walls = Fig4Walls::default();
+    let (mut records, mut events) = (0u64, 0u64);
+    for benchmark in WorkloadSpec::BENCHMARKS {
+        let spec = WorkloadSpec::parsec(benchmark).expect("benchmark");
+        let workload = Workload::new(spec, FIG4_ROWS, COLD_SEED);
+        let (secs, digest) = median_secs(FIG4_REPEATS, || {
+            workload
+                .records(FIG4_MS)
+                .fold(0u64, |acc, r| acc.wrapping_add(r.cycle ^ u64::from(r.row)))
+        });
+        black_box(digest);
+        // Three cells stream the trace once each.
+        walls.generate += 3.0 * secs;
+        let trace: Vec<TraceRecord> = workload.records(FIG4_MS).collect();
+        records += 3 * trace.len() as u64;
+        events += fig4_cell(&raidr, &workload, &trace, &mut walls);
+        events += fig4_cell(&vrl, &workload, &trace, &mut walls);
+        events += fig4_cell(&vrl_access, &workload, &trace, &mut walls);
+    }
+    let gen_ns = walls.generate * 1e9 / records as f64;
+    let sim_ns = walls.simulate * 1e9 / events as f64;
+    let streamed_ns = walls.streamed * 1e9 / records as f64;
+    println!(
+        "trace.gen {gen_ns:.1} ns/record, dram::sim {sim_ns:.1} ns/event, \
+         streamed cell {streamed_ns:.1} ns/record"
+    );
+    println!(
+        "shares of the two layers timed apart: trace.gen {:.0} %, dram::sim {:.0} % \
+         ({records} records, {events} events)",
+        100.0 * walls.generate / (walls.generate + walls.simulate),
+        100.0 * walls.simulate / (walls.generate + walls.simulate),
+    );
 }
 
 fn serve_cold() {
@@ -232,6 +328,7 @@ fn measure<P: RefreshPolicy, F: Fn() -> P>(
 }
 
 fn main() {
+    figure4();
     serve_cold();
 
     let duration_ms = 192.0;
