@@ -12,8 +12,10 @@
 //! The refresh period is pinned to exactly half the wheel's ring window
 //! (`2^27` cycles), so every row's deadlines alternate between two ring
 //! slots forever; after two periods both slots (and the drain scratch)
-//! carry circulating capacity and wheel pushes stop allocating. One
-//! test per binary: the counter is process-global.
+//! carry circulating capacity and wheel pushes stop allocating. The
+//! audit runs one channel, then a two-channel DIMM whose lanes park
+//! each other's records. One test per binary: the counter is
+//! process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +72,9 @@ fn bursts(from_cycle: u64, until_cycle: u64, rows: u32) -> Vec<TraceRecord> {
     trace
 }
 
-#[test]
-fn steady_state_scheduling_does_not_allocate() {
+/// Runs `config` through a warmup span and a measured span of the same
+/// burst shape, and demands that the measured span allocates nothing.
+fn assert_steady_state_is_allocation_free(config: SchedConfig, what: &str) {
     // Half the ring window exactly: deadlines alternate between two
     // wheel slots per row set (see the module docs).
     const PERIOD_MS: f64 = 134.217728;
@@ -81,10 +84,6 @@ fn steady_state_scheduling_does_not_allocate() {
     const WARMUP: u64 = 2 * PERIOD + (PERIOD >> 2);
     const END: u64 = 4 * PERIOD;
 
-    let config = SchedConfig::with_dimm_geometry(1, 1, 2, 32)
-        .expect("geometry")
-        .with_parallelism(false)
-        .with_burst_refresh();
     let total_rows = config.total_rows();
     assert_eq!(config.timing.ms_to_cycles(PERIOD_MS), PERIOD);
 
@@ -96,7 +95,7 @@ fn steady_state_scheduling_does_not_allocate() {
     let paused = sched
         .run_span_observed(&mut cursor, &mut records, END, WARMUP, &mut NullObserver)
         .expect("warmup span");
-    assert!(paused, "warmup must stop mid-run");
+    assert!(paused, "{what}: warmup must stop mid-run");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     sched
@@ -106,11 +105,26 @@ fn steady_state_scheduling_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "the steady-state scheduling loop must not allocate"
+        "{what}: the steady-state scheduling loop must not allocate"
     );
 
     // The run did real work after the warmup boundary.
     let stats = sched.finish(END);
-    assert!(stats.sim.accesses > 0);
-    assert!(stats.sim.total_refreshes() >= 2 * u64::from(total_rows));
+    assert!(stats.sim.accesses > 0, "{what}: no accesses");
+    assert!(
+        stats.sim.total_refreshes() >= 2 * u64::from(total_rows),
+        "{what}: too few refreshes"
+    );
+}
+
+#[test]
+fn steady_state_scheduling_does_not_allocate() {
+    let one_channel = SchedConfig::with_dimm_geometry(1, 1, 2, 32).expect("geometry");
+    // Consecutive row indices alternate channels, so each lane's fill
+    // parks the other lane's records while it looks for its own.
+    let two_channels = SchedConfig::with_dimm_geometry(2, 1, 2, 32).expect("geometry");
+    for (config, what) in [(one_channel, "1 channel"), (two_channels, "2 channels")] {
+        let config = config.with_parallelism(false).with_burst_refresh();
+        assert_steady_state_is_allocation_free(config, what);
+    }
 }

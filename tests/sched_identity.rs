@@ -12,6 +12,13 @@
 //! change to the scheduling loop must leave them passing unedited; a
 //! change meant to alter decisions re-records them and says so.
 //!
+//! serve-cold's traces never queue more than a few requests, so one
+//! more case drives a whole 2 × 2 × 4 DIMM with dense bursts: it fills
+//! the queue, reorders picks, stalls, and halts mid-burst with records
+//! parked for the other channel. Its statistics and the bytes of the
+//! halted snapshot are pinned the same way, recorded on the loop that
+//! moved every record through a per-lane buffer queue.
+//!
 //! The last test is a fast slice of the scheduler crate's
 //! `controller_equivalence` suite: the struct-of-arrays engine against
 //! the per-bank-heap `ReferenceScheduler` on one full-DIMM geometry,
@@ -23,7 +30,7 @@ use vrl_dram_sim::policy::{AutoRefresh, RefreshPolicy, VrlAccess};
 use vrl_dram_sim::sim::NullObserver;
 use vrl_retention::binning::BinningTable;
 use vrl_retention::profile::BankProfile;
-use vrl_sched::{ReferenceScheduler, SchedConfig, SchedStats, Scheduler};
+use vrl_sched::{ReferenceScheduler, SchedConfig, SchedCursor, SchedStats, Scheduler};
 use vrl_trace::{Op, TraceRecord};
 
 /// serve-cold's benchmarks, from tiny to full-memory footprints.
@@ -352,6 +359,130 @@ fn bursty_trace(bursts: u64, burst_len: u64, gap: u64, rows: u32) -> Vec<TraceRe
         }
     }
     trace
+}
+
+/// FNV-1a 64 of the bursty DIMM run's `SchedStats` JSON, and of the
+/// scheduler state it saves when halted mid-burst.
+const BURSTY_DIMM_STATS: u64 = 0x9014_c56b_8c7f_f592;
+const BURSTY_DIMM_SNAPSHOT: u64 = 0xf48a_f158_ddca_665f;
+
+/// Queue depth of the bursty DIMM case: small, so bursts overrun it.
+const BURSTY_DEPTH: usize = 8;
+
+/// Cycles between burst starts in the bursty DIMM case.
+const BURSTY_GAP: u64 = 200_000;
+
+/// Bursts of one arrival per cycle, far above the service rate. Within
+/// a burst the channel alternates in runs, 6 records for channel 0 and
+/// 10 for channel 1, so channel 1 falls behind and channel 0's lane
+/// parks its records; banks and ranks are drawn from an LCG over four
+/// rows each, so queued requests hit open rows out of order.
+fn dense_dimm_bursts(bursts: u64, burst_len: u64) -> Vec<TraceRecord> {
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut trace = Vec::with_capacity((bursts * burst_len) as usize);
+    for b in 0..bursts {
+        for i in 0..burst_len {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = (lcg >> 33) as u32;
+            let channel = u32::from(i % 16 >= 6);
+            let (rank_bank, row) = (draw & 7, (draw >> 3) & 3);
+            let op = if i % 3 == 0 { Op::Write } else { Op::Read };
+            let idx = ((row * 8 + rank_bank) << 1) | channel;
+            trace.push(TraceRecord::new(b * BURSTY_GAP + i, op, idx));
+        }
+    }
+    trace
+}
+
+#[test]
+fn a_bursty_dimm_run_and_its_mid_burst_snapshot_match_the_recorded_hashes() {
+    const DURATION_MS: f64 = 16.0;
+    let config = SchedConfig::with_dimm_geometry(2, 2, 4, 64)
+        .expect("geometry")
+        .with_parallelism(true)
+        .with_queue_depth(BURSTY_DEPTH);
+    let rows = config.total_rows() as usize;
+    let policy = || VrlAccess::new(bins_all(300.0, rows), vec![3; rows]);
+    let end = config.timing.ms_to_cycles(DURATION_MS);
+    let trace = dense_dimm_bursts(end / BURSTY_GAP, 600);
+
+    let whole = Scheduler::new(config, policy())
+        .expect("config")
+        .run(trace.iter().copied(), DURATION_MS)
+        .expect("whole run");
+    assert_eq!(
+        whole.max_queue_depth, BURSTY_DEPTH,
+        "bursts must fill the queue"
+    );
+    assert!(whole.reordered > 0, "bursts must reorder picks");
+    assert!(whole.queue_stalls > 0, "bursts must stall admission");
+
+    // Halt in the middle of burst 20.
+    let stop = 20 * BURSTY_GAP + 300;
+    let mut first = Scheduler::new(config, policy()).expect("config");
+    let mut cursor = SchedCursor::new();
+    let mut records = trace
+        .iter()
+        .copied()
+        .take_while(|r| r.cycle < end)
+        .peekable();
+    let paused = first
+        .run_span_observed(&mut cursor, &mut records, end, stop, &mut NullObserver)
+        .expect("span");
+    assert!(paused, "the halt must leave work");
+    let mut enc = vrl_snap::Encoder::new();
+    first.save_state(&mut enc, &cursor);
+    let bytes = enc.into_bytes();
+    let restore = |bytes: &[u8]| {
+        let mut sched = Scheduler::new(config, policy()).expect("config");
+        let mut dec = vrl_snap::Decoder::new(bytes);
+        let cursor = sched.restore_state(&mut dec).expect("restore");
+        dec.finish().expect("no trailing bytes");
+        (sched, cursor)
+    };
+
+    // Pulled records are served, queued (at most a full queue per
+    // lane), or buffered; a lane's own fill buffers at most its next
+    // arrival, so the rest were parked for it by the other lane.
+    let (mut probe, probe_cursor) = restore(&bytes);
+    let unserved = probe_cursor.pulled() - probe.finish(end).sim.accesses;
+    let parked = unserved.saturating_sub(2 * BURSTY_DEPTH as u64 + 2);
+    assert!(parked >= 4, "only {parked} records parked at the halt");
+
+    // The snapshot loses nothing: resuming from its bytes ends where
+    // the halted scheduler, run on, ends.
+    let rest = |cursor: &SchedCursor| {
+        trace
+            .iter()
+            .copied()
+            .skip(cursor.pulled() as usize)
+            .take_while(|r| r.cycle < end)
+            .peekable()
+    };
+    let mut records = rest(&cursor);
+    first
+        .run_span_observed(&mut cursor, &mut records, end, u64::MAX, &mut NullObserver)
+        .expect("run on");
+    let (mut resumed, mut cursor) = restore(&bytes);
+    let mut records = rest(&cursor);
+    resumed
+        .run_span_observed(&mut cursor, &mut records, end, u64::MAX, &mut NullObserver)
+        .expect("resume");
+    assert_eq!(
+        resumed.finish(end),
+        first.finish(end),
+        "resumed run diverged"
+    );
+
+    let actual = (stats_hash(&whole), fnv1a64(&bytes));
+    assert!(
+        actual == (BURSTY_DIMM_STATS, BURSTY_DIMM_SNAPSHOT),
+        "bursty DIMM run changed; actual: stats 0x{:016x}, snapshot 0x{:016x}",
+        actual.0,
+        actual.1
+    );
 }
 
 fn assert_matches_reference<P: RefreshPolicy>(
