@@ -14,8 +14,11 @@
 //! and as one whole 2 × 2 × 4 DIMM (as the daemon runs it), and the
 //! scheduler's 1-bank degenerate preset
 //! (parallelization off, slack 0, depth 8). Ratios against `dram::sim`
-//! cancel host drift. The later sections compare the SoA scheduler with
-//! the reference engine on a bursty full-DIMM trace and on PARSEC traces.
+//! cancel host drift. The section ends with each scheduler preset's
+//! queue traffic: its deepest queue, the share of picks that took a
+//! younger request over the oldest, and its queue stalls. The later
+//! sections compare the SoA scheduler with the reference engine on a
+//! bursty full-DIMM trace and on PARSEC traces.
 //!
 //! Run with `cargo run --release -p vrl-sched --example hotloop`.
 
@@ -78,24 +81,48 @@ fn vrl_access(rows: usize) -> VrlAccess {
 /// trace with a fresh policy, construction included in the timing.
 struct Engine {
     label: &'static str,
-    run: fn(&[TraceRecord]) -> SimStats,
+    run: fn(&[TraceRecord]) -> Run,
+}
+
+/// One run's statistics and, for the scheduler presets, its queue
+/// traffic: `(max_queue_depth, reordered, queue_stalls)`.
+struct Run {
+    sim: SimStats,
+    traffic: Option<(usize, u64, u64)>,
+}
+
+impl From<SimStats> for Run {
+    fn from(sim: SimStats) -> Self {
+        Run { sim, traffic: None }
+    }
+}
+
+impl From<SchedStats> for Run {
+    fn from(stats: SchedStats) -> Self {
+        Run {
+            traffic: Some((stats.max_queue_depth, stats.reordered, stats.queue_stalls)),
+            sim: stats.sim,
+        }
+    }
 }
 
 fn cold_policy() -> VrlAccess {
     vrl_access(COLD_ROWS as usize)
 }
 
-fn run_sim(trace: &[TraceRecord]) -> SimStats {
+fn run_sim(trace: &[TraceRecord]) -> Run {
     Simulator::new(SimConfig::with_rows(COLD_ROWS), cold_policy())
         .run(trace.iter().copied(), COLD_MS)
+        .into()
 }
 
-fn run_frfcfs(trace: &[TraceRecord]) -> SimStats {
+fn run_frfcfs(trace: &[TraceRecord]) -> Run {
     FrFcfsController::new(SimConfig::with_rows(COLD_ROWS), cold_policy(), 8)
         .expect("depth")
         .run(trace.iter().copied(), COLD_MS)
         .expect("frfcfs run")
         .sim
+        .into()
 }
 
 fn run_scheduler(config: SchedConfig, trace: &[TraceRecord], policy: VrlAccess) -> SchedStats {
@@ -105,23 +132,23 @@ fn run_scheduler(config: SchedConfig, trace: &[TraceRecord], policy: VrlAccess) 
         .expect("sched run")
 }
 
-fn run_bank(trace: &[TraceRecord]) -> SimStats {
+fn run_bank(trace: &[TraceRecord]) -> Run {
     let config = SchedConfig::with_geometry(8, COLD_ROWS / 8).expect("geometry");
-    run_scheduler(config, trace, cold_policy()).sim
+    run_scheduler(config, trace, cold_policy()).into()
 }
 
-fn run_dimm(trace: &[TraceRecord]) -> SimStats {
+fn run_dimm(trace: &[TraceRecord]) -> Run {
     let config = SchedConfig::with_dimm_geometry(2, 2, 4, COLD_ROWS / 16).expect("geometry");
-    run_scheduler(config, trace, cold_policy()).sim
+    run_scheduler(config, trace, cold_policy()).into()
 }
 
-fn run_one_bank(trace: &[TraceRecord]) -> SimStats {
+fn run_one_bank(trace: &[TraceRecord]) -> Run {
     let config = SchedConfig::with_geometry(1, COLD_ROWS)
         .expect("geometry")
         .with_parallelism(false)
         .with_slack(0)
         .with_queue_depth(8);
-    run_scheduler(config, trace, cold_policy()).sim
+    run_scheduler(config, trace, cold_policy()).into()
 }
 
 const ENGINES: [Engine; 5] = [
@@ -161,7 +188,7 @@ fn median_secs<T>(repeats: usize, mut run: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// Median wall seconds of [`REPEATS`] runs, and the last run's stats.
-fn median_run(engine: &Engine, trace: &[TraceRecord]) -> (f64, SimStats) {
+fn median_run(engine: &Engine, trace: &[TraceRecord]) -> (f64, Run) {
     median_secs(REPEATS, || (engine.run)(trace))
 }
 
@@ -257,6 +284,9 @@ fn serve_cold() {
     println!("{:<13}{}", "benchmark", header.join(""));
     let mut wall = [0.0f64; ENGINES.len()];
     let mut events = [0u64; ENGINES.len()];
+    // Per engine: picks (accesses), then the summed queue traffic.
+    let mut picks = [0u64; ENGINES.len()];
+    let mut traffic: [Option<(usize, u64, u64)>; ENGINES.len()] = [None; ENGINES.len()];
     for benchmark in COLD_BENCHMARKS {
         let spec = WorkloadSpec::parsec(benchmark).expect("benchmark");
         let trace: Vec<TraceRecord> = Workload::new(spec, COLD_ROWS, COLD_SEED)
@@ -265,9 +295,15 @@ fn serve_cold() {
         let mut cells = Vec::with_capacity(ENGINES.len());
         let mut runs = Vec::with_capacity(ENGINES.len());
         for (i, engine) in ENGINES.iter().enumerate() {
-            let (secs, stats) = median_run(engine, &trace);
+            let (secs, run) = median_run(engine, &trace);
+            let stats = run.sim;
             wall[i] += secs;
             events[i] += stats.events();
+            picks[i] += stats.accesses;
+            if let Some((depth, reordered, stalls)) = run.traffic {
+                let t = traffic[i].get_or_insert((0, 0, 0));
+                *t = (t.0.max(depth), t.1 + reordered, t.2 + stalls);
+            }
             cells.push(format!("{:>11.0}", secs * 1e9 / stats.events() as f64));
             runs.push(stats);
         }
@@ -289,6 +325,19 @@ fn serve_cold() {
         ns[1] / ns[0],
         ns[4] / ns[1],
     );
+    // The scheduler presets' queue traffic over all seven benchmarks.
+    for ((engine, traffic), picks) in ENGINES.iter().zip(traffic).zip(picks) {
+        let Some((depth, reordered, stalls)) = traffic else {
+            continue;
+        };
+        println!(
+            "{:<11} max queue depth {depth}, reordered {reordered} of {} picks ({:.3} %), \
+             queue stalls {stalls}",
+            engine.label,
+            picks,
+            100.0 * reordered as f64 / picks as f64,
+        );
+    }
 }
 
 fn measure<P: RefreshPolicy, F: Fn() -> P>(

@@ -204,6 +204,7 @@ impl SchedConfig {
     /// historical bank-striped layout, and with a single bank to
     /// `index % rows_per_bank` — exactly how the single-bank engines
     /// fold row indices.
+    #[inline]
     pub fn steer(&self, row_index: u32) -> (u32, u32) {
         let addr = (row_index as u64) << (self.map.offset_bits + self.map.column_bits);
         let loc = self.map.decode(addr);

@@ -21,13 +21,21 @@
 //!   is busy;
 //! - the refresh election and the pull-in bail on `due_bound`, a
 //!   per-channel lower bound on the wheels' cached head deadlines,
-//!   while nothing is due within their horizon;
+//!   while nothing is due within their horizon; a scan of either that
+//!   issues nothing leaves the exact minimum there;
 //! - the advance target skips the release scan when no demand is
 //!   queued, and the refresh scan when `due_bound` is at or past the
 //!   best target found so far (a refresh can never wake the lane
 //!   earlier than its deadline);
-//! - the FR-FCFS pick is one pass over the queue, and admission pulls
-//!   from the trace only when the lane's buffer is empty.
+//! - the FR-FCFS pick is one pass over the queue, a flat `Vec` that
+//!   never reallocates.
+//!
+//! Admission copies each record once. A lane's next arrival waits in a
+//! plain slot (`LaneCursor::next`) and moves from there into the
+//! queue. The lane pulls from the trace only when that slot is empty
+//! and nothing is parked for it. A whole-DIMM run parks the records a
+//! lane pulls for another channel behind that channel's slot, in
+//! arrival order.
 //!
 //! The skips are exact, so every decision is the one a full scan would
 //! make: `ReferenceScheduler` and the recorded statistics in the root
@@ -219,6 +227,7 @@ impl ChannelBus {
 
     /// Earliest issue cycle at or after `start` honoring the activate
     /// constraints for `bank` (a global bank index) on `rank`.
+    #[inline(always)]
     fn act_bound(
         &self,
         mut start: u64,
@@ -276,6 +285,7 @@ impl ChannelBus {
         at
     }
 
+    #[inline(always)]
     fn note_act(&mut self, at: u64, rank: usize, bank: u32) {
         let r = &mut self.ranks[rank];
         r.last_act = Some((at, bank));
@@ -303,12 +313,18 @@ impl vrl_snap::Snapshot for ChannelBus {
     }
 }
 
-/// One channel's resumable loop state: its request queue, its buffered
-/// (pulled-but-not-admitted) arrivals, its clock, and its stall latch.
+/// One channel's resumable loop state: its request queue, its next
+/// arrival, its clock, and its stall latch. Records parked for the lane
+/// by another lane's fill wait behind `next` in [`SchedCursor`]'s
+/// `parked`; together they are the lane's buffered
+/// (pulled-but-not-admitted) arrivals, oldest first.
 #[derive(Debug, Default)]
 struct LaneCursor {
-    queue: VecDeque<Pending>,
-    buffer: VecDeque<Pending>,
+    /// Admitted requests, oldest first; capacity `queue_depth` from
+    /// creation or restore on, so admission never reallocates.
+    queue: Vec<Pending>,
+    /// The lane's oldest buffered arrival: the admission candidate.
+    next: Option<Pending>,
     now: u64,
     last_stall: Option<u64>,
     /// The last advance target overshot the span boundary, so `now`
@@ -322,37 +338,60 @@ struct LaneCursor {
     coasting: bool,
 }
 
-impl vrl_snap::Snapshot for LaneCursor {
-    fn save(&self, enc: &mut vrl_snap::Encoder) {
-        let queued: Vec<Pending> = self.queue.iter().copied().collect();
-        queued.save(enc);
-        let buffered: Vec<Pending> = self.buffer.iter().copied().collect();
-        buffered.save(enc);
-        enc.put_u64(self.now);
-        self.last_stall.save(enc);
-        enc.put_bool(self.coasting);
+impl LaneCursor {
+    fn new(queue_depth: usize) -> Self {
+        LaneCursor {
+            queue: Vec::with_capacity(queue_depth),
+            ..LaneCursor::default()
+        }
     }
+}
 
-    fn load(dec: &mut vrl_snap::Decoder<'_>) -> Result<Self, vrl_snap::SnapError> {
-        Ok(LaneCursor {
-            queue: Vec::<Pending>::load(dec)?.into(),
-            buffer: Vec::<Pending>::load(dec)?.into(),
-            now: dec.take_u64()?,
-            last_stall: <Option<u64>>::load(dec)?,
-            coasting: dec.take_bool()?,
-        })
-    }
+/// Writes one lane as a snapshot holds it: the queue, then every
+/// buffered arrival (`next` followed by the parked records) as one
+/// list, then the clock, the stall latch and the coasting flag.
+fn save_lane(lane: &LaneCursor, parked: &VecDeque<Pending>, enc: &mut vrl_snap::Encoder) {
+    use vrl_snap::Snapshot as _;
+    lane.queue.save(enc);
+    enc.put_usize(usize::from(lane.next.is_some()) + parked.len());
+    lane.next.iter().chain(parked).for_each(|p| p.save(enc));
+    enc.put_u64(lane.now);
+    lane.last_stall.save(enc);
+    enc.put_bool(lane.coasting);
+}
+
+/// Reads what [`save_lane`] wrote: the oldest buffered arrival becomes
+/// the lane's `next`, the rest its parked records.
+fn load_lane(
+    dec: &mut vrl_snap::Decoder<'_>,
+) -> Result<(LaneCursor, VecDeque<Pending>), vrl_snap::SnapError> {
+    use vrl_snap::Snapshot as _;
+    let queue = Vec::<Pending>::load(dec)?;
+    let mut parked = VecDeque::from(Vec::<Pending>::load(dec)?);
+    let lane = LaneCursor {
+        queue,
+        next: parked.pop_front(),
+        now: dec.take_u64()?,
+        last_stall: <Option<u64>>::load(dec)?,
+        coasting: dec.take_bool()?,
+    };
+    Ok((lane, parked))
 }
 
 /// The resumable position of a scheduler run: everything the scheduling
 /// loop keeps outside the scheduler itself (mirrors
 /// [`ControllerCursor`](vrl_dram_sim::controller::ControllerCursor)) —
-/// one lane per active channel plus the count of records consumed from
-/// the source trace.
+/// one lane per active channel, the records parked for each lane, and
+/// the count of records consumed from the source trace.
 #[derive(Debug, Default)]
 pub struct SchedCursor {
     /// Per-channel loop state; sized lazily on first use.
     lanes: Vec<LaneCursor>,
+    /// Per channel, the records other lanes' fills pulled for it, oldest
+    /// first, behind the lane's `next`. Only a run driving several
+    /// channels parks; a single-channel shard drops other channels'
+    /// records.
+    parked: Vec<VecDeque<Pending>>,
     /// Records consumed from the source trace so far (admitted or
     /// buffered).
     pulled: u64,
@@ -373,15 +412,24 @@ impl SchedCursor {
 
 impl vrl_snap::Snapshot for SchedCursor {
     fn save(&self, enc: &mut vrl_snap::Encoder) {
-        self.lanes.save(enc);
+        enc.put_usize(self.lanes.len());
+        for (lane, parked) in self.lanes.iter().zip(&self.parked) {
+            save_lane(lane, parked, enc);
+        }
         enc.put_u64(self.pulled);
     }
 
     fn load(dec: &mut vrl_snap::Decoder<'_>) -> Result<Self, vrl_snap::SnapError> {
-        Ok(SchedCursor {
-            lanes: Vec::<LaneCursor>::load(dec)?,
-            pulled: dec.take_u64()?,
-        })
+        let mut cursor = SchedCursor::new();
+        // No reservation from the untrusted count: a corrupt one runs
+        // out of input after a few lanes.
+        for _ in 0..dec.take_usize()? {
+            let (lane, parked) = load_lane(dec)?;
+            cursor.lanes.push(lane);
+            cursor.parked.push(parked);
+        }
+        cursor.pulled = dec.take_u64()?;
+        Ok(cursor)
     }
 }
 
@@ -628,9 +676,11 @@ impl<P: RefreshPolicy> Scheduler<P> {
     {
         let active = self.active_channels as usize;
         if cursor.lanes.is_empty() {
-            cursor.lanes = std::iter::repeat_with(LaneCursor::default)
+            let depth = self.config.queue_depth;
+            cursor.lanes = std::iter::repeat_with(|| LaneCursor::new(depth))
                 .take(active)
                 .collect();
+            cursor.parked = std::iter::repeat_with(VecDeque::new).take(active).collect();
         } else if cursor.lanes.len() != active {
             return Err(Error::InvalidConfig {
                 reason: format!(
@@ -639,11 +689,26 @@ impl<P: RefreshPolicy> Scheduler<P> {
                 ),
             });
         }
+        let SchedCursor {
+            lanes,
+            parked,
+            pulled,
+        } = cursor;
         if active == 1 {
-            return self.run_channel_span(cursor, trace, 0, end, stop_at, u64::MAX, observer);
+            return self.run_channel_span(
+                &mut lanes[0],
+                parked,
+                pulled,
+                trace,
+                0,
+                end,
+                stop_at,
+                u64::MAX,
+                observer,
+            );
         }
         loop {
-            let base = cursor.lanes.iter().map(|l| l.now).min().unwrap_or(0);
+            let base = lanes.iter().map(|l| l.now).min().unwrap_or(0);
             let span_end = base.saturating_add(CHANNEL_SPAN).min(stop_at);
             if span_end <= base {
                 return Ok(true);
@@ -652,22 +717,31 @@ impl<P: RefreshPolicy> Scheduler<P> {
             // pull-in gate additionally looks `τ_full` ahead.
             let fill_horizon = span_end.saturating_add(self.config.timing.tau_full);
             let mut any_pending = false;
-            for c in 0..active {
-                let paused =
-                    self.run_channel_span(cursor, trace, c, end, span_end, fill_horizon, observer)?;
+            for (c, lane) in lanes.iter_mut().enumerate() {
+                let paused = self.run_channel_span(
+                    lane,
+                    parked,
+                    pulled,
+                    trace,
+                    c,
+                    end,
+                    span_end,
+                    fill_horizon,
+                    observer,
+                )?;
                 if paused {
                     any_pending = true;
                 } else {
-                    // A drained lane (empty queue and buffer, no
+                    // A drained lane (empty queue, nothing buffered, no
                     // deadlines before `end`) makes no decision during
                     // the jump, so stepping its clock is free — and
                     // keeps `base` advancing every rotation.
-                    let lane = &mut cursor.lanes[c];
                     lane.now = lane.now.max(span_end);
                 }
             }
-            let source_dry =
-                trace.peek().is_none() && cursor.lanes.iter().all(|l| l.buffer.is_empty());
+            let source_dry = trace.peek().is_none()
+                && lanes.iter().all(|l| l.next.is_none())
+                && parked.iter().all(VecDeque::is_empty);
             if !any_pending && source_dry {
                 return Ok(false);
             }
@@ -677,46 +751,53 @@ impl<P: RefreshPolicy> Scheduler<P> {
         }
     }
 
-    /// Pulls source records into per-channel buffers until lane `c`'s
-    /// buffer is non-empty, the source head is at or past
-    /// `fill_horizon`, or the source is dry. Records owned by channels
-    /// outside this instance's range are dropped on their channel bits
-    /// alone (shards consume unfiltered traces); every pulled record
-    /// counts toward `cursor.pulled`.
-    #[inline]
+    /// Fills lane `c`'s `next` slot unless it holds an arrival: with the
+    /// lane's oldest parked record if any, else from the source, pulling
+    /// until a record for lane `c`, a source head at or past
+    /// `fill_horizon`, or a dry source. Records pulled for other lanes
+    /// are parked for them, and records owned by channels outside this
+    /// instance's range are dropped on their channel bits alone (shards
+    /// consume unfiltered traces); every pulled record counts toward
+    /// `pulled`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn fill<I: Iterator<Item = TraceRecord>>(
         &self,
-        cursor: &mut SchedCursor,
+        next: &mut Option<Pending>,
+        parked: &mut [VecDeque<Pending>],
+        pulled: &mut u64,
         trace: &mut std::iter::Peekable<I>,
         c: usize,
         fill_horizon: u64,
     ) {
-        if !cursor.lanes[c].buffer.is_empty() {
+        if next.is_some() {
             return;
         }
-        loop {
-            match trace.peek() {
-                Some(&record) if record.cycle < fill_horizon => {
-                    trace.next();
-                    cursor.pulled += 1;
-                    let channel = self.config.channel_of_index(record.row);
-                    let Some(lane) = channel
-                        .checked_sub(self.first_channel)
-                        .filter(|&l| l < self.active_channels)
-                    else {
-                        continue;
-                    };
-                    let (bank, row) = self.config.steer(record.row);
-                    let lane = lane as usize;
-                    cursor.lanes[lane]
-                        .buffer
-                        .push_back(Pending { record, bank, row });
-                    if lane == c {
-                        return;
-                    }
-                }
-                _ => return,
+        *next = parked[c].pop_front();
+        if next.is_some() {
+            return;
+        }
+        while let Some(&record) = trace.peek() {
+            if record.cycle >= fill_horizon {
+                return;
             }
+            trace.next();
+            *pulled += 1;
+            let channel = self.config.channel_of_index(record.row);
+            let Some(lane) = channel
+                .checked_sub(self.first_channel)
+                .filter(|&l| l < self.active_channels)
+            else {
+                continue;
+            };
+            let (bank, row) = self.config.steer(record.row);
+            let pending = Pending { record, bank, row };
+            let lane = lane as usize;
+            if lane == c {
+                *next = Some(pending);
+                return;
+            }
+            parked[lane].push_back(pending);
         }
     }
 
@@ -728,7 +809,9 @@ impl<P: RefreshPolicy> Scheduler<P> {
     #[allow(clippy::too_many_arguments)]
     fn run_channel_span<I, O>(
         &mut self,
-        cursor: &mut SchedCursor,
+        lane: &mut LaneCursor,
+        parked: &mut [VecDeque<Pending>],
+        pulled: &mut u64,
         trace: &mut std::iter::Peekable<I>,
         c: usize,
         end: u64,
@@ -741,40 +824,42 @@ impl<P: RefreshPolicy> Scheduler<P> {
         O: SimObserver,
     {
         let banks = self.channel_banks(c);
+        let depth = self.config.queue_depth;
         loop {
-            let now = clock_jump(&self.busy_until[banks.clone()], cursor.lanes[c].now);
-            cursor.lanes[c].now = now;
+            let now = clock_jump(&self.busy_until[banks.clone()], lane.now);
+            lane.now = now;
             if now >= span_end {
                 return Ok(true);
             }
 
-            // Admit arrivals that have happened by `now`. Refilling at
+            // Admit arrivals that have happened by `now`, each straight
+            // from the lane's `next` slot into the queue. Refilling at
             // the head of each pass (rather than before the admit and
             // once more after the loop) pulls the same records: `fill`
-            // is a no-op while the lane's buffer holds its next arrival.
+            // is a no-op while the slot holds the lane's next arrival.
             loop {
-                self.fill(cursor, trace, c, fill_horizon);
-                let lane = &mut cursor.lanes[c];
-                if lane.queue.len() >= self.config.queue_depth {
+                self.fill(&mut lane.next, parked, pulled, trace, c, fill_horizon);
+                if lane.queue.len() >= depth {
                     break;
                 }
-                match lane.buffer.front() {
-                    Some(p) if p.record.cycle <= now => {
-                        let pending = *p;
-                        lane.buffer.pop_front();
-                        lane.queue.push_back(pending);
+                match lane.next {
+                    Some(pending) if pending.record.cycle <= now => {
+                        lane.next = None;
+                        lane.queue.push(pending);
                         lane.coasting = false;
                         self.queued[pending.bank as usize - self.bank_offset] += 1;
+                        // Only an admission lengthens the queue.
+                        self.stats.max_queue_depth =
+                            self.stats.max_queue_depth.max(lane.queue.len());
                     }
                     _ => break,
                 }
             }
-            let lane = &mut cursor.lanes[c];
-            self.stats.max_queue_depth = self.stats.max_queue_depth.max(lane.queue.len());
+            let upcoming = lane.next.map(|p| p.record.cycle);
             // A full queue with an arrival already waiting is back
             // pressure; report each stalled cycle once.
-            if lane.queue.len() == self.config.queue_depth
-                && lane.buffer.front().is_some_and(|p| p.record.cycle <= now)
+            if lane.queue.len() == depth
+                && upcoming.is_some_and(|at| at <= now)
                 && lane.last_stall != Some(now)
             {
                 lane.last_stall = Some(now);
@@ -785,46 +870,42 @@ impl<P: RefreshPolicy> Scheduler<P> {
             // Refreshes due by `now` on free banks (postponed onto
             // contended banks when parallelization allows).
             if self.try_refresh(c, now, end, observer)? {
-                cursor.lanes[c].coasting = false;
+                lane.coasting = false;
                 continue;
             }
 
             // FR-FCFS demand on free banks.
-            if let Some(idx) = self.pick(&cursor.lanes[c].queue, now) {
+            if let Some(idx) = self.pick(&lane.queue, now) {
                 if idx != 0 {
                     self.stats.reordered += 1;
                 }
-                let lane = &mut cursor.lanes[c];
                 let len = lane.queue.len();
-                let pending = lane
-                    .queue
-                    .remove(idx)
-                    .ok_or(Error::QueueIndexInvalid { index: idx, len })?;
+                if idx >= len {
+                    return Err(Error::QueueIndexInvalid { index: idx, len });
+                }
+                let pending = lane.queue.remove(idx);
                 self.queued[pending.bank as usize - self.bank_offset] -= 1;
-                cursor.lanes[c].coasting = false;
+                lane.coasting = false;
                 self.service(c, pending, now, observer);
                 continue;
             }
 
             // Idle banks pull upcoming refreshes in early — but never
             // from a coasting clock (see [`LaneCursor::coasting`]).
-            let upcoming = cursor.lanes[c].buffer.front().map(|p| p.record.cycle);
-            if !cursor.lanes[c].coasting && self.try_pull_in(c, now, end, upcoming, observer) {
+            if !lane.coasting && self.try_pull_in(c, now, end, upcoming, observer) {
                 continue;
             }
 
             // Nothing issuable at `now`: advance to the next arrival (if
             // it can be admitted), refresh deadline, or bank release.
-            let queue = &cursor.lanes[c].queue;
-            let next_arrival = upcoming.filter(|_| queue.len() < self.config.queue_depth);
-            match self.advance_target(c, now, end, next_arrival, !queue.is_empty()) {
+            let next_arrival = upcoming.filter(|_| lane.queue.len() < depth);
+            match self.advance_target(c, now, end, next_arrival, !lane.queue.is_empty()) {
                 // A target past the span boundary is clamped to it: the
                 // lane pauses there, and later rounds (with a longer
                 // admission horizon) may discover an earlier arrival to
                 // wake for instead. The clamped clock is synthetic —
                 // mark the lane coasting until a genuine event.
                 Some(t) if t > now => {
-                    let lane = &mut cursor.lanes[c];
                     lane.coasting = t > span_end;
                     lane.now = t.min(span_end);
                 }
@@ -981,7 +1062,7 @@ impl<P: RefreshPolicy> Scheduler<P> {
         self.buses = buses;
         self.stats = SchedStats::load(dec)?;
         self.policy.restore_state(dec)?;
-        let cursor = SchedCursor::load(dec)?;
+        let mut cursor = SchedCursor::load(dec)?;
         if cursor.lanes.len() != self.active_channels as usize {
             return Err(vrl_snap::SnapError::Malformed {
                 what: format!(
@@ -999,10 +1080,12 @@ impl<P: RefreshPolicy> Scheduler<P> {
             self.due_bound[c] = chunk.iter().copied().min().unwrap_or(u64::MAX);
         }
         self.queued.iter_mut().for_each(|q| *q = 0);
-        for lane in &cursor.lanes {
+        for lane in &mut cursor.lanes {
             for p in &lane.queue {
                 self.queued[p.bank as usize - self.bank_offset] += 1;
             }
+            let room = self.config.queue_depth.saturating_sub(lane.queue.len());
+            lane.queue.reserve_exact(room);
         }
         Ok(cursor)
     }
@@ -1117,14 +1200,14 @@ impl<P: RefreshPolicy> Scheduler<P> {
         if self.due_bound[c] >= horizon {
             return false;
         }
+        let mut min_due = u64::MAX;
         for bank in self.channel_banks(c) {
-            if self.busy_until[bank] > now || self.queued[bank] > 0 {
-                continue;
-            }
             // The cached head deadline decides without settling the
             // wheel: the pop below succeeds exactly when it is within
             // the horizon.
-            if self.next_due[bank] >= horizon {
+            let due = self.next_due[bank];
+            min_due = min_due.min(due);
+            if due >= horizon || self.busy_until[bank] > now || self.queued[bank] > 0 {
                 continue;
             }
             if let Some((_, row, original_due)) = self.wheels[bank].pop_due_before(horizon) {
@@ -1136,13 +1219,17 @@ impl<P: RefreshPolicy> Scheduler<P> {
                 return true;
             }
         }
+        // A pass that fires nothing has read every deadline: leave the
+        // exact minimum, so a bound left low by the last pop stops
+        // admitting idle passes into this loop.
+        self.due_bound[c] = min_due;
         false
     }
 
     /// FR-FCFS over requests whose bank is free at `now`: the oldest
     /// hitting its bank's open row, else the oldest — in one pass.
     #[inline(always)]
-    fn pick(&self, queue: &VecDeque<Pending>, now: u64) -> Option<usize> {
+    fn pick(&self, queue: &[Pending], now: u64) -> Option<usize> {
         let mut oldest_free = None;
         for (idx, p) in queue.iter().enumerate() {
             let bank = p.bank as usize - self.bank_offset;
@@ -1679,6 +1766,32 @@ mod tests {
             Some(3_000)
         );
         assert_eq!(sched.advance_target(0, 50, 3_000, None, false), None);
+    }
+
+    #[test]
+    fn a_pull_in_pass_that_fires_nothing_leaves_the_exact_bound() {
+        let config = SchedConfig::with_geometry(4, 64)
+            .expect("geometry")
+            .with_parallelism(true);
+        let mut sched = Scheduler::new(config, AutoRefresh::new(64.0)).expect("config");
+        let (now, end) = (50, 10_000_000);
+        let horizon = now + config.slack + 1;
+        sched.busy_until = vec![0, 900, 0, 0];
+        sched.queued = vec![0; 4];
+        // Bank 1's deadline is inside the window, but the bank is busy.
+        sched.next_due = vec![horizon + 10, 500, horizon + 20, u64::MAX];
+        sched.due_bound = vec![100];
+        assert!(!sched.try_pull_in(0, now, end, None, &mut NullObserver));
+        assert_eq!(
+            sched.due_bound[0], 500,
+            "a fruitless pass leaves the minimum"
+        );
+        // Once that deadline leaves the window, the next fruitless pass
+        // lifts the bound past it, and later idle passes bail before
+        // the bank loop.
+        sched.next_due[1] = horizon + 30;
+        assert!(!sched.try_pull_in(0, now, end, None, &mut NullObserver));
+        assert_eq!(sched.due_bound[0], horizon + 10);
     }
 
     #[test]
