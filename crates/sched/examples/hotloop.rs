@@ -13,8 +13,12 @@
 //! `dram::sim`, `FrFcfsController` (depth 8), the scheduler at 8 banks
 //! and as one whole 2 × 2 × 4 DIMM (as the daemon runs it), and the
 //! scheduler's 1-bank degenerate preset
-//! (parallelization off, slack 0, depth 8). Ratios against `dram::sim`
-//! cancel host drift. The section ends with each scheduler preset's
+//! (parallelization off, slack 0, depth 8), and the guarded faulted
+//! front end: `dram::sim` under the default fault scenario with the
+//! runtime guard sensing every refresh and activation. Its charge
+//! physics is linear at the n90 full level and sensing threshold (the
+//! analytical model lives above this crate), which costs the same per
+//! event. Ratios against `dram::sim` cancel host drift. The section ends with each scheduler preset's
 //! queue traffic: its deepest queue, the share of picks that took a
 //! younger request over the oldest, and its queue stalls. The later
 //! sections compare the SoA scheduler with the reference engine on a
@@ -25,8 +29,12 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use vrl_dram_sim::integrity::LinearPhysics;
 use vrl_dram_sim::policy::{Raidr, RefreshPolicy, Vrl, VrlAccess};
-use vrl_dram_sim::{FrFcfsController, SimConfig, SimStats, Simulator};
+use vrl_dram_sim::{
+    FaultConfig, FaultInjector, FrFcfsController, Guard, GuardConfig, SimConfig, SimStats,
+    Simulator, TimingParams,
+};
 use vrl_retention::binning::BinningTable;
 use vrl_retention::profile::BankProfile;
 use vrl_retention::RetentionDistribution;
@@ -66,13 +74,19 @@ fn bursts(until: u64, rows: u32) -> Vec<TraceRecord> {
     records
 }
 
+/// Per-row retention of the synthetic profile: 64, 128, 256, 256 ms.
+fn retention(rows: usize) -> Vec<f64> {
+    (0..rows)
+        .map(|r| match r % 4 {
+            0 => 64.0,
+            1 => 128.0,
+            _ => 256.0,
+        })
+        .collect()
+}
+
 fn vrl_access(rows: usize) -> VrlAccess {
-    let retention = (0..rows).map(|r| match r % 4 {
-        0 => 64.0,
-        1 => 128.0,
-        _ => 256.0,
-    });
-    let bins = BinningTable::from_profile(&BankProfile::from_rows(retention, 32));
+    let bins = BinningTable::from_profile(&BankProfile::from_rows(retention(rows), 32));
     let mprsf = (0..rows).map(|r| (r % 4) as u8).collect();
     VrlAccess::new(bins, mprsf)
 }
@@ -116,6 +130,26 @@ fn run_sim(trace: &[TraceRecord]) -> Run {
         .into()
 }
 
+/// The n90 technology's full-refresh level and sensing threshold.
+const N90: LinearPhysics = LinearPhysics {
+    full: 0.957_931_227_620_196_2,
+    partial_gain: 0.5,
+    threshold: 0.611_108_321_423_527_6,
+};
+
+/// A served guarded faulted job: serve-cold's fault seed for seed 42.
+fn run_faulted(trace: &[TraceRecord]) -> Run {
+    let timing = TimingParams::paper_default();
+    let faults = FaultConfig::default_scenario(COLD_SEED ^ 0x5eed);
+    let injector = FaultInjector::new(faults, &retention(COLD_ROWS as usize), timing);
+    let true_retention = injector.true_retention();
+    let mut guard = Guard::new(N90, timing, true_retention, GuardConfig::default());
+    let mut sim = Simulator::new(SimConfig::with_rows(COLD_ROWS), cold_policy());
+    sim.set_fault_injector(injector);
+    sim.run_guarded(trace.iter().copied(), COLD_MS, &mut guard)
+        .into()
+}
+
 fn run_frfcfs(trace: &[TraceRecord]) -> Run {
     FrFcfsController::new(SimConfig::with_rows(COLD_ROWS), cold_policy(), 8)
         .expect("depth")
@@ -151,7 +185,7 @@ fn run_one_bank(trace: &[TraceRecord]) -> Run {
     run_scheduler(config, trace, cold_policy()).into()
 }
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 6] = [
     Engine {
         label: "dram::sim",
         run: run_sim,
@@ -171,6 +205,10 @@ const ENGINES: [Engine; 5] = [
     Engine {
         label: "sched 1bk",
         run: run_one_bank,
+    },
+    Engine {
+        label: "faulted",
+        run: run_faulted,
     },
 ];
 
@@ -319,11 +357,12 @@ fn serve_cold() {
     println!("{:<13}{}", "all", total.join(""));
     println!(
         "ratios: sched 8bk / sim {:.2}x, dimm / sim {:.2}x, frfcfs / sim {:.2}x, \
-         sched 1bk / frfcfs {:.2}x",
+         sched 1bk / frfcfs {:.2}x, faulted / sim {:.2}x",
         ns[2] / ns[0],
         ns[3] / ns[0],
         ns[1] / ns[0],
         ns[4] / ns[1],
+        ns[5] / ns[0],
     );
     // The scheduler presets' queue traffic over all seven benchmarks.
     for ((engine, traffic), picks) in ENGINES.iter().zip(traffic).zip(picks) {
