@@ -349,6 +349,13 @@ impl FaultInjector {
             .collect()
     }
 
+    /// The cycle of the stochastic processes' next step: polling at an
+    /// earlier cycle changes nothing and returns no change.
+    #[inline(always)]
+    pub fn next_poll_cycle(&self) -> u64 {
+        self.next_step
+    }
+
     /// Advances the stochastic fault processes up to `cycle`, returning
     /// every retention change as `(row, new_retention_ms, at_cycle)` in
     /// time order.

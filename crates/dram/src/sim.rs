@@ -367,8 +367,15 @@ impl<P: RefreshPolicy> Simulator<P> {
 
     /// Advances the fault injector's stochastic processes to `cycle`,
     /// forwarding every retention change to the observer.
+    ///
+    /// Called before every access: a poll before the injector's next
+    /// step is skipped, which is exact (it would step nothing).
+    #[inline(always)]
     fn poll_faults<O: SimObserver>(&mut self, cycle: u64, observer: &mut O) {
         if let Some(inj) = self.injector.as_mut() {
+            if inj.next_poll_cycle() > cycle {
+                return;
+            }
             for (row, retention_ms, at) in inj.poll(cycle) {
                 observer.on_retention_change(row, retention_ms, at);
             }
@@ -593,12 +600,27 @@ impl<P: AdaptivePolicy> Simulator<P> {
     {
         let end = self.config.timing.ms_to_cycles(duration_ms);
         let mut trace = trace.take_while(|r| r.cycle < end).peekable();
+        // The refresh queue's earliest deadline, held as in
+        // `run_span_observed`: a drain with nothing due before the
+        // record pops nothing, polls nothing and degrades nothing, so
+        // skipping it is exact. Only a drain pushes deadlines — neither
+        // `poll_faults` nor `apply_degrades` (`policy.degrade`) touches
+        // the queue — so the value is re-read only after a drain.
+        let mut next_due = self.next_due();
         loop {
             let scrub_at = guard.next_scrub_cycle();
             match trace.peek().copied() {
                 Some(record) if record.cycle < scrub_at || scrub_at >= end => {
                     trace.next();
-                    self.drain_refreshes_guarded(record.cycle, Some(record.cycle), guard, observer);
+                    if next_due < record.cycle {
+                        self.drain_refreshes_guarded(
+                            record.cycle,
+                            Some(record.cycle),
+                            guard,
+                            observer,
+                        );
+                        next_due = self.next_due();
+                    }
                     self.poll_faults(record.cycle, &mut Fanout::new(guard, observer));
                     self.service_access(record, &mut Fanout::new(guard, observer));
                 }
@@ -607,6 +629,7 @@ impl<P: AdaptivePolicy> Simulator<P> {
                     self.drain_refreshes_guarded(scrub_at, next, guard, observer);
                     self.poll_faults(scrub_at, &mut Fanout::new(guard, observer));
                     self.execute_scrub(scrub_at, guard, observer);
+                    next_due = self.next_due();
                 }
                 _ => {
                     self.drain_refreshes_guarded(end, None, guard, observer);
@@ -680,13 +703,19 @@ impl<P: AdaptivePolicy> Simulator<P> {
     }
 
     /// Applies one ladder step per detected error, reporting each
-    /// outcome back to the guard's counters and to the observer.
+    /// outcome back to the guard's counters and to the observer. Runs
+    /// after every event, so the usual case, nothing pending, returns
+    /// before taking the queue.
+    #[inline(always)]
     fn apply_degrades<C: ChargePhysics, O: SimObserver>(
         &mut self,
         guard: &mut Guard<C>,
         cycle: u64,
         observer: &mut O,
     ) {
+        if !guard.has_pending_degrades() {
+            return;
+        }
         for row in guard.take_pending_degrades() {
             let action = self.policy.degrade(row);
             guard.record_degrade(action);
