@@ -857,8 +857,11 @@ impl<P: RefreshPolicy> Scheduler<P> {
             }
             let upcoming = lane.next.map(|p| p.record.cycle);
             // A full queue with an arrival already waiting is back
-            // pressure; report each stalled cycle once.
-            if lane.queue.len() == depth
+            // pressure; report each stalled cycle once, and only at a
+            // genuine visit: an unsegmented run never stops at a
+            // coasting clock (see [`LaneCursor::coasting`]).
+            if !lane.coasting
+                && lane.queue.len() == depth
                 && upcoming.is_some_and(|at| at <= now)
                 && lane.last_stall != Some(now)
             {

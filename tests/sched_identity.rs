@@ -470,10 +470,13 @@ fn a_bursty_dimm_run_and_its_mid_burst_snapshot_match_the_recorded_hashes() {
     resumed
         .run_span_observed(&mut cursor, &mut records, end, u64::MAX, &mut NullObserver)
         .expect("resume");
+    let resumed = resumed.finish(end);
+    assert_eq!(resumed, first.finish(end), "resumed run diverged");
+    // And both end where the uninterrupted run does: the halt's
+    // synthetic clock counts no extra queue stall.
     assert_eq!(
-        resumed.finish(end),
-        first.finish(end),
-        "resumed run diverged"
+        resumed, whole,
+        "halted and resumed run diverged from the whole run"
     );
 
     let actual = (stats_hash(&whole), fnv1a64(&bytes));
