@@ -4,10 +4,7 @@
 //! Runs every policy on all three front ends over one benchmark trace,
 //! reports refresh-busy cycles, demand-visible (blocked) refresh
 //! cycles, stalls, and the scheduled front end's read-latency
-//! histogram, then verifies the scheduler determinism contract
-//! (bit-identical (benchmark × policy) matrices on the serial path and
-//! the worker pool). Writes `BENCH_sched.json` under
-//! `target/experiments/`.
+//! histogram. Writes `BENCH_sched.json` under `target/experiments/`.
 //!
 //! Flags:
 //!
@@ -15,9 +12,7 @@
 //!   table,
 //! * `--rows <u32>` (default 2048) — total rows across the rank,
 //! * `--banks <u32>` (default 8) — banks the rows are split across,
-//! * `--duration-ms <f64>` (default 256) — simulated wall time per run,
-//! * `--workers <usize>` (default: `VRL_THREADS` or available
-//!   parallelism) — pool size for the determinism check.
+//! * `--duration-ms <f64>` (default 256) — simulated wall time per run.
 
 use serde::Serialize;
 
@@ -25,7 +20,6 @@ use vrl_bench::fail;
 use vrl_dram::experiment::{sched_metrics, Experiment, ExperimentConfig, PolicyKind};
 use vrl_dram::{Engine, Outcome};
 use vrl_dram_sim::sim::NullObserver;
-use vrl_exec::ExecConfig;
 use vrl_obs::{MetricsRegistry, MetricsSnapshot};
 
 #[derive(Serialize)]
@@ -51,12 +45,6 @@ struct BenchSched {
     queue_depth: usize,
     rows_table: Vec<FrontEndRow>,
     scheduled_vs_frfcfs_refresh_blocked: f64,
-    determinism_workers: usize,
-    determinism_bit_identical: bool,
-    integrity_violations: usize,
-    supervised_retries: u64,
-    supervised_quarantined: u64,
-    supervised_degraded: bool,
 }
 
 fn main() {
@@ -65,8 +53,6 @@ fn main() {
     let rows = vrl_bench::arg_f64("--rows", 2048.0) as u32;
     let banks = vrl_bench::arg_f64("--banks", 8.0) as u32;
     let duration_ms = vrl_bench::arg_f64("--duration-ms", 256.0);
-    let default_workers = ExecConfig::from_env().workers;
-    let workers = vrl_bench::arg_f64("--workers", default_workers as f64).max(1.0) as usize;
 
     let experiment = Experiment::new(ExperimentConfig {
         rows,
@@ -157,45 +143,9 @@ fn main() {
         blocked_ratio
     );
 
-    // Determinism contract: the scheduled matrix must be bit-identical
-    // on the serial path and any pool shape.
-    let policies = [PolicyKind::Vrl, PolicyKind::VrlAccess];
-    let [serial, pooled] = [1, workers].map(|n| {
-        let pool = ExecConfig::new(n);
-        let matrix = experiment.run_matrix(&Engine::Sched(sched), &policies, &pool);
-        matrix.unwrap_or_else(|e| fail(&e)).0
-    });
-    let bit_identical = serial == pooled;
-    println!("determinism ({workers} workers): bit-identical = {bit_identical}");
-
-    let (engine, kind) = (Engine::Sched(sched), PolicyKind::VrlAccess);
-    let mut checker = experiment.integrity_checker(experiment.profiled_retention());
-    let trace = experiment.trace(&benchmark).unwrap_or_else(|e| fail(&e));
-    let checked = experiment.run(&engine, kind, trace, 0, &mut checker, |_| {});
-    checked.unwrap_or_else(|e| fail(&e));
-    let violations = checker.violations().len();
-    println!("integrity violations under parallelized VRL-Access: {violations}");
-
-    // Supervised execution: the same matrix under the retry / deadline /
-    // degrade supervisor. A healthy run must quarantine nothing, and the
-    // exec.* counters ride along in the metrics artifact so CI can
-    // assert on them.
-    let supervised = experiment.run_matrix_supervised(
-        &ExecConfig::new(workers),
-        &vrl_exec::Supervisor::new(),
-        &policies,
-    );
-    println!(
-        "supervised matrix: {} retries, {} quarantined, degraded = {}",
-        supervised.counters.retries, supervised.counters.quarantined, supervised.degraded
-    );
-
     sched_merged
         .merge(&comparison)
         .expect("bench counters are disjoint from sched metrics");
-    sched_merged
-        .merge(&supervised.metrics)
-        .expect("exec counters are disjoint from sched metrics");
     vrl_bench::write_bench_report(
         "sched",
         &BenchSched {
@@ -206,26 +156,7 @@ fn main() {
             queue_depth: sched.queue_depth,
             rows_table: table,
             scheduled_vs_frfcfs_refresh_blocked: blocked_ratio,
-            determinism_workers: workers,
-            determinism_bit_identical: bit_identical,
-            integrity_violations: violations,
-            supervised_retries: supervised.counters.retries,
-            supervised_quarantined: supervised.counters.quarantined,
-            supervised_degraded: supervised.degraded,
         },
         &sched_merged.to_json(),
     );
-
-    if !bit_identical {
-        eprintln!("FAIL: scheduled matrix diverges across pool shapes");
-        std::process::exit(1);
-    }
-    if violations != 0 {
-        eprintln!("FAIL: refresh parallelization violated row integrity");
-        std::process::exit(1);
-    }
-    if supervised.counters.quarantined != 0 || supervised.degraded {
-        eprintln!("FAIL: supervisor quarantined jobs in a healthy matrix");
-        std::process::exit(1);
-    }
 }

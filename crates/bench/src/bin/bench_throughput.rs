@@ -3,11 +3,8 @@
 //! Runs the full (benchmark × policy) matrix once on the serial path and
 //! once through the `vrl-exec` worker pool, reports simulated cycles/sec,
 //! events/sec and per-worker utilization, and verifies the determinism
-//! contract (bit-identical statistics on both paths). The FR-FCFS
-//! controller and multi-bank scheduler front ends are metered alongside
-//! the base simulator — their stats embed the same [`SimStats`], so all
-//! three feed one throughput meter. Writes `BENCH_throughput.json` under
-//! `target/experiments/`.
+//! contract (bit-identical statistics on both paths). Writes
+//! `BENCH_throughput.json` under `target/experiments/`.
 //!
 //! Flags:
 //!
@@ -61,15 +58,6 @@ struct Leg {
     mean_utilization: f64,
 }
 
-/// One scheduling front end's serial throughput over the same matrix.
-#[derive(Serialize)]
-struct FrontEndLeg {
-    front_end: &'static str,
-    wall_seconds: f64,
-    sim_cycles_per_sec: f64,
-    events_per_sec: f64,
-}
-
 /// The full-DIMM geometry metered on both engines over the same matrix.
 #[derive(Serialize)]
 struct DimmLeg {
@@ -96,7 +84,6 @@ struct BenchThroughput {
     parallel: Leg,
     speedup: f64,
     bit_identical: bool,
-    front_ends: Vec<FrontEndLeg>,
     full_dimm: DimmLeg,
 }
 
@@ -162,13 +149,13 @@ fn main() {
         policies.len()
     );
 
-    let matrix = |engine: &Engine, workers: usize| {
+    let matrix = |workers: usize| {
         experiment
-            .run_matrix(engine, &policies, &ExecConfig::new(workers))
+            .run_matrix(&Engine::Sim, &policies, &ExecConfig::new(workers))
             .unwrap_or_else(|e| fail(&e))
     };
-    let (serial_cells, serial_report) = matrix(&Engine::Sim, 1);
-    let (parallel_cells, parallel_report) = matrix(&Engine::Sim, workers);
+    let (serial_cells, serial_report) = matrix(1);
+    let (parallel_cells, parallel_report) = matrix(workers);
 
     let bit_identical = serial_cells == parallel_cells;
     let (totals, metrics) = accumulate(&serial_cells);
@@ -194,34 +181,6 @@ fn main() {
         "\nspeedup: {speedup:.2}x ({} workers), results bit-identical: {bit_identical}",
         parallel_report.workers
     );
-
-    // The other two front ends, metered serially over the same matrix:
-    // ControllerStats / SchedStats embed SimStats, so they feed the
-    // identical events()/throughput() meter.
-    let sched = experiment.sched_config(8).unwrap_or_else(|e| fail(&e));
-    let mut front_ends = Vec::new();
-    for (front_end, engine) in [
-        ("fr-fcfs", Engine::FrFcfs { queue_depth: 32 }),
-        ("scheduled", Engine::Sched(sched)),
-    ] {
-        let (cells, report) = matrix(&engine, 1);
-        let mut totals = SimStats::default();
-        for cell in &cells {
-            totals.accumulate(cell.outcome.sim_stats());
-        }
-        let tp = totals.throughput(report.wall.as_secs_f64());
-        println!(
-            "{front_end:>9}: serial front end, {:>7.3} s wall, {:>12.3e} sim cycles/s, \
-             {:>11.3e} events/s",
-            tp.wall_seconds, tp.sim_cycles_per_sec, tp.events_per_sec,
-        );
-        front_ends.push(FrontEndLeg {
-            front_end,
-            wall_seconds: tp.wall_seconds,
-            sim_cycles_per_sec: tp.sim_cycles_per_sec,
-            events_per_sec: tp.events_per_sec,
-        });
-    }
 
     // Full-DIMM leg: the same policy over every benchmark at
     // 2ch × 2rk × 16bk, through the reference per-bank-heap engine and
@@ -306,7 +265,6 @@ fn main() {
             parallel: leg(&parallel_report, &parallel_tp),
             speedup,
             bit_identical,
-            front_ends,
             full_dimm,
         },
         &metrics.to_json(),

@@ -734,21 +734,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scheduled_parallelism_is_integrity_clean() {
-        let e = Experiment::new(ExperimentConfig {
-            rows: 256,
-            duration_ms: 256.0,
-            ..Default::default()
-        });
-        let sched = e.sched_config(4).expect("4 banks");
-        let (stats, violations) =
-            checked(&e, &Engine::Sched(sched), PolicyKind::VrlAccess, "ferret").expect("known");
-        let stats = stats.into_sched();
-        assert_eq!(violations, 0, "parallelized refreshes must stay sound");
-        assert!(stats.sim.total_refreshes() > 0);
-    }
-
-    #[test]
     fn dimm_config_requires_an_even_power_of_two_split() {
         let e = small();
         let cfg = e.dimm_config(2, 2, 4).expect("512 rows over 16 banks");

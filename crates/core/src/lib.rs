@@ -30,9 +30,6 @@
 //!   checksummed snapshots of a run's full engine state written
 //!   atomically on a cycle cadence, resumable bit-identically, plus a
 //!   matrix-level manifest for interrupted sweeps,
-//! * [`supervise`] — supervised matrix execution (retry, virtual
-//!   deadline, quarantine, graceful degradation) bridged to typed
-//!   observability events and `exec.*` metrics,
 //! * [`error`] — typed errors for the harness APIs.
 //!
 //! # Quickstart
@@ -61,7 +58,6 @@ pub mod overhead;
 pub mod physics;
 pub mod plan;
 pub mod spans;
-pub mod supervise;
 pub mod tau;
 pub mod vrt_adapt;
 
@@ -73,7 +69,6 @@ pub use experiment::{
 };
 pub use mprsf::{Mprsf, MprsfCalculator};
 pub use plan::RefreshPlan;
-pub use supervise::{supervisor_events_to_obs, supervisor_metrics, SupervisedMatrix};
 
 // Re-export the substrate crates so downstream users need one dependency.
 pub use vrl_area as area;

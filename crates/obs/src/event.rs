@@ -75,30 +75,6 @@ pub enum EventKind {
         /// Queue occupancy at the stalled cycle.
         depth: u32,
     },
-    /// The supervisor re-ran a panicked matrix job after a deterministic
-    /// backoff. For exec events, `cycle` carries the job index and `row`
-    /// is the row-less sentinel.
-    ExecRetry {
-        /// Which attempt is about to run (1 = first retry).
-        attempt: u32,
-        /// The recorded (never slept) backoff, in virtual ticks.
-        backoff: u32,
-    },
-    /// The supervisor gave up on a matrix job and quarantined its typed
-    /// error, keeping the rest of the matrix alive.
-    ExecQuarantine {
-        /// Total attempts the job was given.
-        attempts: u32,
-        /// Whether the final failure was a panic (vs a typed job error).
-        panicked: bool,
-    },
-    /// A job's virtual deadline expired before its retry budget did.
-    ExecDeadline,
-    /// Repeated pool failures degraded the matrix to serial execution.
-    ExecDegraded {
-        /// Panicking jobs that triggered the degradation.
-        failures: u32,
-    },
     /// A served experiment job was validated and enqueued. For serve
     /// events, `cycle` carries the job id and `row` is the row-less
     /// sentinel.
@@ -168,10 +144,6 @@ impl EventKind {
             EventKind::GuardDegrade(_) => "GuardDegrade",
             EventKind::FaultInjected { .. } => "FaultInjected",
             EventKind::QueueStall { .. } => "QueueStall",
-            EventKind::ExecRetry { .. } => "ExecRetry",
-            EventKind::ExecQuarantine { .. } => "ExecQuarantine",
-            EventKind::ExecDeadline => "ExecDeadline",
-            EventKind::ExecDegraded { .. } => "ExecDegraded",
             EventKind::JobQueued { .. } => "JobQueued",
             EventKind::JobStarted => "JobStarted",
             EventKind::JobCompleted { .. } => "JobCompleted",
@@ -255,21 +227,8 @@ impl vrl_snap::Snapshot for EventKind {
                 enc.put_u8(8);
                 enc.put_u32(depth);
             }
-            EventKind::ExecRetry { attempt, backoff } => {
-                enc.put_u8(9);
-                enc.put_u32(attempt);
-                enc.put_u32(backoff);
-            }
-            EventKind::ExecQuarantine { attempts, panicked } => {
-                enc.put_u8(10);
-                enc.put_u32(attempts);
-                panicked.save(enc);
-            }
-            EventKind::ExecDeadline => enc.put_u8(11),
-            EventKind::ExecDegraded { failures } => {
-                enc.put_u8(12);
-                enc.put_u32(failures);
-            }
+            // Tags 9-12 are reserved: they named a retired job
+            // supervisor's events and decode as malformed.
             EventKind::JobQueued { depth } => {
                 enc.put_u8(13);
                 enc.put_u32(depth);
@@ -306,18 +265,6 @@ impl vrl_snap::Snapshot for EventKind {
             },
             8 => EventKind::QueueStall {
                 depth: dec.take_u32()?,
-            },
-            9 => EventKind::ExecRetry {
-                attempt: dec.take_u32()?,
-                backoff: dec.take_u32()?,
-            },
-            10 => EventKind::ExecQuarantine {
-                attempts: dec.take_u32()?,
-                panicked: bool::load(dec)?,
-            },
-            11 => EventKind::ExecDeadline,
-            12 => EventKind::ExecDegraded {
-                failures: dec.take_u32()?,
             },
             13 => EventKind::JobQueued {
                 depth: dec.take_u32()?,
@@ -433,16 +380,6 @@ mod tests {
             EventKind::GuardDegrade(DegradeStep::AtFloor),
             EventKind::FaultInjected { dropped: true },
             EventKind::QueueStall { depth: 9 },
-            EventKind::ExecRetry {
-                attempt: 2,
-                backoff: 17,
-            },
-            EventKind::ExecQuarantine {
-                attempts: 3,
-                panicked: true,
-            },
-            EventKind::ExecDeadline,
-            EventKind::ExecDegraded { failures: 4 },
             EventKind::JobQueued { depth: 3 },
             EventKind::JobStarted,
             EventKind::JobCompleted { cached: true },
@@ -472,11 +409,16 @@ mod tests {
             let back = Event::load(&mut Decoder::new(&bytes)).unwrap();
             assert_eq!(back, event, "{kind:?} must round-trip");
         }
-        // An unknown tag is a typed error, not a panic.
-        assert!(matches!(
-            EventKind::load(&mut Decoder::new(&[200])),
-            Err(SnapError::Malformed { .. })
-        ));
+        // An unknown or reserved tag is a typed error, not a panic.
+        for tag in [9, 10, 11, 12, 200] {
+            assert!(
+                matches!(
+                    EventKind::load(&mut Decoder::new(&[tag])),
+                    Err(SnapError::Malformed { .. })
+                ),
+                "tag {tag} must be rejected"
+            );
+        }
     }
 
     #[test]

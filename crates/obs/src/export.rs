@@ -71,15 +71,6 @@ fn push_event(out: &mut String, event: &Event, policy: &str) {
         EventKind::QueueStall { depth } => {
             out.push_str(&format!(",\"depth\":{depth}"));
         }
-        EventKind::ExecRetry { attempt, backoff } => {
-            out.push_str(&format!(",\"attempt\":{attempt},\"backoff\":{backoff}"));
-        }
-        EventKind::ExecQuarantine { attempts, panicked } => {
-            out.push_str(&format!(",\"attempts\":{attempts},\"panicked\":{panicked}"));
-        }
-        EventKind::ExecDegraded { failures } => {
-            out.push_str(&format!(",\"failures\":{failures}"));
-        }
         EventKind::JobQueued { depth } => {
             out.push_str(&format!(",\"depth\":{depth}"));
         }

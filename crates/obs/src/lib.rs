@@ -1,7 +1,7 @@
 //! # vrl-obs — unified observability for the VRL-DRAM simulators
 //!
 //! One layer, three concerns, shared by every front end (`dram::sim`,
-//! `dram::controller`, `sched`, `guard`, `exec`):
+//! `dram::controller`, `sched`, `guard`, `serve`):
 //!
 //! 1. **Structured event tracing** — the [`Recorder`](recorder::Recorder)
 //!    implements the simulator's observer trait and captures typed

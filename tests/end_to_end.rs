@@ -3,6 +3,7 @@
 
 use vrl::core::experiment::{Experiment, ExperimentConfig, PolicyKind};
 use vrl::core::overhead;
+use vrl::core::Engine;
 
 fn experiment() -> Experiment {
     Experiment::new(ExperimentConfig {
@@ -45,6 +46,31 @@ fn all_policies_are_integrity_safe_under_traffic() {
         let violations = checker.violations().len();
         assert_eq!(violations, 0, "{} violated data integrity", kind.name());
     }
+}
+
+#[test]
+fn scheduled_parallelism_is_integrity_clean() {
+    let e = Experiment::new(ExperimentConfig {
+        rows: 256,
+        duration_ms: 256.0,
+        ..Default::default()
+    });
+    let sched = e.sched_config(4).expect("4 banks");
+    let mut checker = e.integrity_checker(e.profiled_retention());
+    let trace = e.trace("ferret").expect("known");
+    let outcome = e
+        .run(
+            &Engine::Sched(sched),
+            PolicyKind::VrlAccess,
+            trace,
+            0,
+            &mut checker,
+            |_| {},
+        )
+        .expect("known");
+    let violations = checker.violations().len();
+    assert_eq!(violations, 0, "parallelized refreshes must stay sound");
+    assert!(outcome.sim_stats().total_refreshes() > 0);
 }
 
 #[test]
