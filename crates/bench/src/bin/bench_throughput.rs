@@ -14,19 +14,11 @@
 //!   parallelism) — pool size for the parallel leg,
 //! * `--assert-speedup` — exit non-zero if the parallel leg is slower
 //!   than the serial leg (only enforced when both the pool and the host
-//!   offer ≥ 2 workers; a single-core host cannot speed anything up),
-//!   or if the full-DIMM SoA hot loop fails to run at least 2× the
-//!   events/sec of the reference per-bank-heap engine,
-//! * `--baseline <file>` — diff the full-DIMM events/sec against a
-//!   previously committed `BENCH_throughput.json` and exit non-zero on
-//!   a > 10 % regression (skipped, with a note, when the baseline's
-//!   schema version differs).
+//!   offer ≥ 2 workers; a single-core host cannot speed anything up).
 //!
-//! The full-DIMM leg runs a 2-channel × 2-rank × 16-bank geometry
-//! through the reference per-bank-heap engine and the struct-of-arrays
-//! scheduler, replaying one pre-materialized trace per benchmark
-//! (engine throughput only), and asserts both produce bit-identical
-//! statistics.
+//! Engine speed (SoA vs reference scheduler, every front end against
+//! `dram::sim`) is metered and gated by the `vrl-sched` `hotloop`
+//! example, not here.
 
 use serde::Serialize;
 
@@ -35,18 +27,12 @@ use vrl_dram::experiment::{sim_metrics, Experiment, ExperimentConfig, MatrixCell
 use vrl_dram::Engine;
 use vrl_dram_sim::stats::{SimStats, Throughput};
 use vrl_exec::ExecConfig;
-use vrl_obs::json::JsonValue;
 use vrl_obs::MetricsSnapshot;
-use vrl_sched::{ReferenceScheduler, Scheduler};
-use vrl_trace::{Workload, WorkloadSpec};
 
 /// Tolerated parallel/serial wall-clock ratio under `--assert-speedup`.
 /// Pool bookkeeping on tiny matrices can cost a few percent; a healthy
 /// multi-core run lands well below 1.
 const MAX_SLOWDOWN: f64 = 1.10;
-
-/// Tolerated events/sec drop against `--baseline` before the run fails.
-const MAX_REGRESSION: f64 = 0.10;
 
 #[derive(Serialize)]
 struct Leg {
@@ -56,19 +42,6 @@ struct Leg {
     events_per_sec: f64,
     worker_utilization: Vec<f64>,
     mean_utilization: f64,
-}
-
-/// The full-DIMM geometry metered on both engines over the same matrix.
-#[derive(Serialize)]
-struct DimmLeg {
-    channels: u32,
-    ranks: u32,
-    banks: u32,
-    rows_per_bank: u32,
-    reference_events_per_sec: f64,
-    soa_events_per_sec: f64,
-    soa_speedup_vs_reference: f64,
-    bit_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -84,7 +57,6 @@ struct BenchThroughput {
     parallel: Leg,
     speedup: f64,
     bit_identical: bool,
-    full_dimm: DimmLeg,
 }
 
 /// Totals across the matrix, routed through the `vrl-obs` metrics
@@ -182,75 +154,6 @@ fn main() {
         parallel_report.workers
     );
 
-    // Full-DIMM leg: the same policy over every benchmark at
-    // 2ch × 2rk × 16bk, through the reference per-bank-heap engine and
-    // the SoA scheduler.
-    let dimm = experiment
-        .dimm_config(2, 2, 16)
-        .unwrap_or_else(|e| fail(&e));
-    let seed = experiment.config().seed;
-
-    // The reference and SoA engines meter scheduling throughput, not
-    // trace generation: each benchmark's trace is materialized once
-    // outside the timers and both engines replay the same records.
-    // Interleaving the two runs per benchmark also spreads host noise
-    // evenly across the legs.
-    let mut reference_wall = 0.0;
-    let mut soa_wall = 0.0;
-    let mut reference_cells = Vec::new();
-    let mut soa_cells = Vec::new();
-    for benchmark in WorkloadSpec::BENCHMARKS {
-        let spec = WorkloadSpec::parsec(benchmark).expect("known benchmark");
-        let trace: Vec<_> = Workload::new(spec, rows, seed)
-            .records(duration_ms)
-            .collect();
-
-        let started = std::time::Instant::now();
-        let stats = ReferenceScheduler::new(dimm, experiment.plan().vrl_access())
-            .and_then(|mut engine| engine.run(trace.iter().copied(), duration_ms))
-            .unwrap_or_else(|e| fail(&e));
-        reference_wall += started.elapsed().as_secs_f64();
-        reference_cells.push(stats);
-
-        let started = std::time::Instant::now();
-        let stats = Scheduler::new(dimm, experiment.plan().vrl_access())
-            .and_then(|mut engine| engine.run(trace.iter().copied(), duration_ms))
-            .unwrap_or_else(|e| fail(&e));
-        soa_wall += started.elapsed().as_secs_f64();
-        soa_cells.push(stats);
-    }
-
-    let dimm_bit_identical = soa_cells == reference_cells;
-    let dimm_events: u64 = soa_cells.iter().map(|s| s.sim.events()).sum();
-    let reference_eps = dimm_events as f64 / reference_wall.max(f64::MIN_POSITIVE);
-    let soa_eps = dimm_events as f64 / soa_wall.max(f64::MIN_POSITIVE);
-    let soa_speedup = soa_eps / reference_eps.max(f64::MIN_POSITIVE);
-    println!(
-        "\nfull DIMM ({}ch × {}rk × {}bk × {} rows, {}):",
-        dimm.channels(),
-        dimm.ranks(),
-        dimm.banks_per_rank(),
-        dimm.rows_per_bank(),
-        PolicyKind::VrlAccess.name()
-    );
-    for (name, wall, eps) in [
-        ("reference", reference_wall, reference_eps),
-        ("soa", soa_wall, soa_eps),
-    ] {
-        println!("{name:>9}: {wall:>7.3} s wall, {eps:>11.3e} events/s");
-    }
-    println!("SoA vs reference: {soa_speedup:.2}x, results bit-identical: {dimm_bit_identical}");
-    let full_dimm = DimmLeg {
-        channels: dimm.channels(),
-        ranks: dimm.ranks(),
-        banks: dimm.banks(),
-        rows_per_bank: dimm.rows_per_bank(),
-        reference_events_per_sec: reference_eps,
-        soa_events_per_sec: soa_eps,
-        soa_speedup_vs_reference: soa_speedup,
-        bit_identical: dimm_bit_identical,
-    };
-
     vrl_bench::write_bench_report(
         "throughput",
         &BenchThroughput {
@@ -265,7 +168,6 @@ fn main() {
             parallel: leg(&parallel_report, &parallel_tp),
             speedup,
             bit_identical,
-            full_dimm,
         },
         &metrics.to_json(),
     );
@@ -273,14 +175,6 @@ fn main() {
     if !bit_identical {
         eprintln!("FAIL: parallel results diverge from serial (determinism contract broken)");
         std::process::exit(1);
-    }
-    if !dimm_bit_identical {
-        eprintln!("FAIL: full-DIMM engines diverge (reference and SoA must be bit-identical)");
-        std::process::exit(1);
-    }
-    let baseline = vrl_bench::arg_str("--baseline", "");
-    if !baseline.is_empty() {
-        check_baseline(&baseline, soa_eps);
     }
     if assert_speedup {
         let host = vrl_exec::available_workers();
@@ -300,64 +194,5 @@ fn main() {
                 parallel_report.workers
             );
         }
-        if soa_speedup < 2.0 {
-            eprintln!(
-                "FAIL: full-DIMM SoA scheduler at {soa_speedup:.2}x the reference engine \
-                 (contract: >= 2x events/sec)"
-            );
-            std::process::exit(1);
-        }
-        println!("full-DIMM speedup assertion passed ({soa_speedup:.2}x)");
     }
-}
-
-/// Diffs the current full-DIMM SoA events/sec against a committed
-/// `BENCH_throughput.json`; exits non-zero past [`MAX_REGRESSION`].
-/// A baseline with a different schema version (or one predating the
-/// `full_dimm` leg) cannot be compared and is skipped with a note.
-fn check_baseline(path: &str, soa_eps: f64) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("FAIL: cannot read baseline {path}: {err}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match vrl_obs::json::parse(&text) {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!("FAIL: baseline {path} is not valid JSON: {err}");
-            std::process::exit(1);
-        }
-    };
-    let schema = doc.get("schema_version").and_then(JsonValue::as_f64);
-    if schema != Some(f64::from(vrl_bench::SCHEMA_VERSION)) {
-        println!(
-            "baseline diff skipped: {path} has schema version {schema:?}, \
-             current is {}",
-            vrl_bench::SCHEMA_VERSION
-        );
-        return;
-    }
-    let Some(base_eps) = doc
-        .get("full_dimm")
-        .and_then(|leg| leg.get("soa_events_per_sec"))
-        .and_then(JsonValue::as_f64)
-    else {
-        println!("baseline diff skipped: {path} has no full_dimm leg");
-        return;
-    };
-    let floor = base_eps * (1.0 - MAX_REGRESSION);
-    if soa_eps < floor {
-        eprintln!(
-            "FAIL: full-DIMM events/sec regressed beyond {:.0}%: {soa_eps:.3e} vs \
-             baseline {base_eps:.3e}",
-            MAX_REGRESSION * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "baseline diff passed: {soa_eps:.3e} events/s vs baseline {base_eps:.3e} \
-         (floor {floor:.3e})"
-    );
 }

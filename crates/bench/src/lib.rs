@@ -20,9 +20,16 @@
 //! | `ablation_nbits`  | counter-width ablation |
 //! | `ablation_locality` | trace-locality sensitivity of VRL-Access |
 //! | `ablation_faults` | fault rate × runtime guard: overhead vs data loss |
+//! | `ablation_ecc` | SECDED ECC as a retention booster |
+//! | `ablation_frontend` | in-order service vs the FR-FCFS front end |
+//! | `ablation_postpone` | demand-first refresh postponement |
+//! | `ablation_temperature` | operating temperature vs the VRL benefit |
+//! | `node_scaling` | the VRL benefit across technology nodes |
+//! | `bench_sched` | refresh-busy time and read latency per policy × front end |
+//! | `bench_throughput` | serial vs worker-pool matrix execution |
 //!
-//! Criterion benches (`cargo bench`) time the underlying machinery:
-//! `fig1_charge`, `fig4_policies`, `table1_presensing`, `model_vs_spice`.
+//! Engine speed is metered by the `vrl-sched` crate's `hotloop` example
+//! and by the `perfbench` package, not by this crate.
 
 #![warn(missing_docs)]
 
@@ -106,26 +113,49 @@ pub fn section(title: &str) {
     println!("{}", "=".repeat(72));
 }
 
-/// Parses a `--duration-ms <f64>` style flag from `std::env::args`,
-/// falling back to `default`.
-pub fn arg_f64(flag: &str, default: f64) -> f64 {
+/// The value given for `flag` in `args` (`args[0]` being the program
+/// name): `Ok(None)` when the flag is absent, an error naming the flag
+/// when it is present without a value (end of `args`, or another
+/// `--flag` next) or with one that does not parse as `T`.
+fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().skip(1).position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 2) {
+        Some(value) if !value.starts_with("--") => value
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{flag}: cannot parse {value:?}")),
+        _ => Err(format!("{flag}: missing value")),
+    }
+}
+
+/// [`flag_value`] over `std::env::args`, falling back to `default`
+/// when the flag is absent; a missing or malformed value exits with
+/// status 2.
+fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match flag_value(&args, flag) {
+        Ok(value) => value.unwrap_or(default),
+        Err(err) => {
+            eprintln!("usage error: {err}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses a `--duration-ms <f64>` style flag from `std::env::args`,
+/// falling back to `default` when the flag is absent. A present flag
+/// whose value is missing or not a number exits with status 2.
+pub fn arg_f64(flag: &str, default: f64) -> f64 {
+    arg_or(flag, default)
 }
 
 /// Parses a `--benchmark <name>` style string flag from
-/// `std::env::args`, falling back to `default`.
+/// `std::env::args`, falling back to `default` when the flag is absent.
+/// A present flag without a value exits with status 2.
 pub fn arg_str(flag: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_owned())
+    arg_or(flag, default.to_owned())
 }
 
 #[cfg(test)]
@@ -141,6 +171,34 @@ mod tests {
     #[test]
     fn arg_f64_falls_back() {
         assert_eq!(arg_f64("--nonexistent-flag", 7.5), 7.5);
+    }
+
+    #[test]
+    fn flag_values_are_parsed_or_rejected_by_name() {
+        let args = |list: &[&str]| -> Vec<String> {
+            std::iter::once("bench")
+                .chain(list.iter().copied())
+                .map(str::to_owned)
+                .collect()
+        };
+        let rows = |list: &[&str]| flag_value::<f64>(&args(list), "--rows");
+        assert_eq!(rows(&["--rows", "1024"]), Ok(Some(1024.0)));
+        assert_eq!(rows(&["--rows", "-3"]), Ok(Some(-3.0)));
+        // Absent: the caller falls back to its default.
+        assert_eq!(rows(&["--duration-ms", "64"]), Ok(None));
+        // Present without a value, at the end or before another flag.
+        assert_eq!(rows(&["--rows"]), Err("--rows: missing value".to_owned()));
+        assert_eq!(
+            rows(&["--rows", "--duration-ms", "64"]),
+            Err("--rows: missing value".to_owned())
+        );
+        // Present with a value that does not parse.
+        assert_eq!(
+            rows(&["--rows", "1O24"]),
+            Err("--rows: cannot parse \"1O24\"".to_owned())
+        );
+        let benchmark = flag_value::<String>(&args(&["--benchmark", "ferret"]), "--benchmark");
+        assert_eq!(benchmark, Ok(Some("ferret".to_owned())));
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl EqualizationModel {
         t_o + self.req * self.cbl * (excess / tolerance).ln()
     }
 
-    /// The exponential time constant of phase 2, `Req·Cbl` (seconds).
-    pub fn phase2_time_constant(&self) -> f64 {
-        self.req * self.cbl
-    }
-
     /// Saturation current of the equalizer, `Idsat2` (amperes).
     pub fn idsat2(&self) -> f64 {
         self.idsat2

@@ -47,11 +47,6 @@ impl SingleCellModel {
         }
     }
 
-    /// The nominal bitline capacitance the model assumes (F).
-    pub fn cbl_nominal(&self) -> f64 {
-        self.cbl0
-    }
-
     /// Equalization: single exponential from `t = 0` (no saturation
     /// phase). `v0` is the bitline's initial voltage.
     pub fn equalization_voltage(&self, v0: f64, t: f64) -> f64 {

@@ -125,11 +125,6 @@ impl MetricsRegistry {
         h.counts[bucket] += 1;
     }
 
-    /// Current counter value (test/inspection convenience).
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
     /// Snapshot every metric by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

@@ -56,12 +56,6 @@ impl Recorder {
         Recorder::new(label, policy, u32::MAX)
     }
 
-    /// Replace the default ring with one of the given capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring = EventRing::with_capacity(capacity);
-        self
-    }
-
     fn bank_of(&self, row: u32) -> u32 {
         if row == NO_ROW {
             0

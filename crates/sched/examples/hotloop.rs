@@ -24,6 +24,15 @@
 //! sections compare the SoA scheduler with the reference engine on a
 //! bursty full-DIMM trace and on PARSEC traces.
 //!
+//! Besides its identity assertions (streamed ≡ replayed Figure 4 cell,
+//! 1-bank preset ≡ FR-FCFS, SoA ≡ reference), the meter has two timing
+//! gates, each a ratio of engines timed in this process over the same
+//! traces, so neither depends on the host's absolute speed: the
+//! whole-DIMM scheduler's ns/event at serve-cold geometry stays under
+//! [`MAX_DIMM_OVER_SIM`] × `dram::sim`'s, and the SoA scheduler runs the
+//! PARSEC full-DIMM section at ≥ [`MIN_SOA_SPEEDUP`] × the reference
+//! engine's events/s. A breach exits non-zero.
+//!
 //! Run with `cargo run --release -p vrl-sched --example hotloop`.
 
 use std::hint::black_box;
@@ -56,6 +65,11 @@ const COLD_MS: f64 = 64.0;
 const COLD_SEED: u64 = 42;
 /// Timed runs per (engine, benchmark); the median is reported.
 const REPEATS: usize = 5;
+/// Ceiling on `dimm 2x2x4 / dram::sim` (ns/event) at this geometry.
+/// 22 runs on a shared 2-vCPU x86-64 host read 6.9–10.8× (median
+/// 8.8×); the scheduler whose admission copied every record through two
+/// `VecDeque`s read 14.2×.
+const MAX_DIMM_OVER_SIM: f64 = 13.0;
 
 fn bursts(until: u64, rows: u32) -> Vec<TraceRecord> {
     const GAP: u64 = 1 << 18;
@@ -364,6 +378,11 @@ fn serve_cold() {
         ns[4] / ns[1],
         ns[5] / ns[0],
     );
+    let dimm_over_sim = ns[3] / ns[0];
+    assert!(
+        dimm_over_sim <= MAX_DIMM_OVER_SIM,
+        "dimm / sim {dimm_over_sim:.2}x exceeds the {MAX_DIMM_OVER_SIM}x ceiling"
+    );
     // The scheduler presets' queue traffic over all seven benchmarks.
     for ((engine, traffic), picks) in ENGINES.iter().zip(traffic).zip(picks) {
         let Some((depth, reordered, stalls)) = traffic else {
@@ -379,14 +398,23 @@ fn serve_cold() {
     }
 }
 
+/// Full-DIMM passes per trace; the SoA gate reads their medians.
+const PASSES: usize = 3;
+/// Floor on the SoA scheduler's events/s over the reference engine's.
+const MIN_SOA_SPEEDUP: f64 = 2.0;
+
+/// Times [`PASSES`] SoA and reference runs over `trace`, checks they
+/// agree, and returns the median SoA and reference wall seconds.
 fn measure<P: RefreshPolicy, F: Fn() -> P>(
     label: &str,
     config: SchedConfig,
     trace: &[TraceRecord],
     duration_ms: f64,
     make_policy: F,
-) {
-    for _ in 0..3 {
+) -> (f64, f64) {
+    let mut soa_walls = Vec::with_capacity(PASSES);
+    let mut reference_walls = Vec::with_capacity(PASSES);
+    for _ in 0..PASSES {
         let t0 = Instant::now();
         let mut engine = Scheduler::new(config, make_policy()).expect("config");
         let soa = engine
@@ -412,7 +440,12 @@ fn measure<P: RefreshPolicy, F: Fn() -> P>(
             reference_wall * 1e9 / events as f64,
             reference_wall / soa_wall,
         );
+        soa_walls.push(soa_wall);
+        reference_walls.push(reference_wall);
     }
+    soa_walls.sort_by(f64::total_cmp);
+    reference_walls.sort_by(f64::total_cmp);
+    (soa_walls[PASSES / 2], reference_walls[PASSES / 2])
 }
 
 fn main() {
@@ -433,11 +466,25 @@ fn main() {
     let duration_ms = 128.0;
     let rows = 1024u32;
     let config = SchedConfig::with_dimm_geometry(2, 2, 16, rows / 64).expect("geometry");
+    let (mut soa_wall, mut reference_wall) = (0.0, 0.0);
     for benchmark in ["canneal", "ferret", "streamcluster"] {
         let spec = WorkloadSpec::parsec(benchmark).expect("benchmark");
         let trace: Vec<TraceRecord> = Workload::new(spec, rows, 42).records(duration_ms).collect();
-        measure(benchmark, config, &trace, duration_ms, || {
+        let (soa, reference) = measure(benchmark, config, &trace, duration_ms, || {
             vrl_access(rows as usize)
         });
+        soa_wall += soa;
+        reference_wall += reference;
     }
+    // Both engines serve the same events, so the wall ratio is the
+    // events/s ratio.
+    let soa_speedup = reference_wall / soa_wall;
+    println!(
+        "full DIMM: SoA at {soa_speedup:.2}x the reference engine's events/s \
+         (median of {PASSES} passes)"
+    );
+    assert!(
+        soa_speedup >= MIN_SOA_SPEEDUP,
+        "SoA scheduler at {soa_speedup:.2}x the reference engine (floor {MIN_SOA_SPEEDUP}x)"
+    );
 }

@@ -380,14 +380,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Entries evicted across all four shards.
-    pub fn total_evictions(&self) -> u64 {
-        self.profiles.evictions()
-            + self.plans.evictions()
-            + self.traces.evictions()
-            + self.results.evictions()
-    }
-
     /// An [`Experiment`] for `config` whose profile and plan come from
     /// (or populate) the cache. The result is bit-identical to
     /// [`Experiment::new`] — same generators, shared storage.

@@ -382,10 +382,3 @@ impl Client {
         self.request_one(&format!("{{\"type\":\"shutdown\",\"mode\":\"{mode}\"}}"))
     }
 }
-
-/// The terminal frame of a submission — the `result` frame on success,
-/// the `error` frame otherwise. Helper for callers that only care about
-/// the outcome.
-pub fn terminal_frame(frames: &[String]) -> Option<&String> {
-    frames.last().filter(|f| is_terminal(f))
-}

@@ -154,42 +154,4 @@ mod tests {
         assert_eq!((tier.stores(), tier.hits(), tier.quarantined()), (1, 1, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    #[test]
-    fn bit_flips_are_quarantined_never_served() {
-        let (dir, tier) = temp_tier("bitflip");
-        tier.store(9, &frame_for(9)).unwrap();
-        let path = tier.path(9);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        assert!(matches!(tier.load(9), DiskLoad::Quarantined(_)));
-        assert_eq!(tier.quarantined(), 1);
-        assert!(!path.exists(), "the damaged file must be moved aside");
-        let quar = dir.join(format!("{:016x}.art.quar", 9));
-        assert!(quar.exists(), "the damaged bytes are preserved");
-        // The name is free again: a rebuild stores and serves cleanly.
-        tier.store(9, &frame_for(9)).unwrap();
-        assert_eq!(tier.load(9), DiskLoad::Hit(frame_for(9)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncation_and_misnamed_frames_are_quarantined() {
-        let (dir, tier) = temp_tier("truncate");
-        tier.store(3, &frame_for(3)).unwrap();
-        let path = tier.path(3);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(matches!(tier.load(3), DiskLoad::Quarantined(_)));
-
-        // A checksum-valid envelope holding the wrong spec's frame.
-        vrl_snap::write_atomic_tagged(&tier.path(4), ARTIFACT_TAG, frame_for(5).as_bytes())
-            .unwrap();
-        assert!(matches!(tier.load(4), DiskLoad::Quarantined(_)));
-        assert_eq!(tier.quarantined(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }

@@ -150,11 +150,6 @@ impl SubscriberQueue {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Whether [`close`](Self::close) was called.
-    pub fn is_closed(&self) -> bool {
-        lock_recover(&self.inner).closed
-    }
 }
 
 #[cfg(test)]
