@@ -217,7 +217,7 @@ impl SchedConfig {
     /// field of [`SchedConfig::steer`]'s decode (its lowest bits),
     /// without decoding the rest — what a channel shard needs to drop
     /// foreign records.
-    pub(crate) fn channel_of_index(&self, row_index: u32) -> u32 {
+    pub fn channel_of_index(&self, row_index: u32) -> u32 {
         row_index & (self.channels() - 1)
     }
 
