@@ -43,8 +43,8 @@ fn scenario(fraction: f64, seed: u64) -> FaultConfig {
 
 fn main() {
     vrl_bench::section("Ablation — fault rate × runtime guard");
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 1024.0);
-    let rows = vrl_bench::arg_f64("--rows", 1024.0) as u32;
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
+    let rows = vrl_bench::arg_or::<u32>("--rows", 1024);
     let benchmark = "ferret";
     let experiment = Experiment::new(ExperimentConfig {
         rows,

@@ -22,7 +22,7 @@ struct FrontendRow {
 
 fn main() {
     vrl_bench::section("Ablation — in-order vs FR-FCFS front end (VRL-Access)");
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 64.0);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 64.0);
     let config = ExperimentConfig {
         rows: 512,
         duration_ms,

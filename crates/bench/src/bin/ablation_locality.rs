@@ -21,7 +21,7 @@ struct LocalityRow {
 
 fn main() {
     vrl_bench::section("Ablation — workload footprint vs VRL-Access gain");
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 1024.0);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
     let config = ExperimentConfig {
         duration_ms,
         ..Default::default()

@@ -21,7 +21,7 @@ struct PostponeRow {
 
 fn main() {
     vrl_bench::section("Ablation — demand-first refresh postponement");
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 512.0);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 512.0);
     let config = ExperimentConfig {
         rows: 4096,
         duration_ms,

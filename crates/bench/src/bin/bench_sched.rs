@@ -49,10 +49,10 @@ struct BenchSched {
 
 fn main() {
     vrl_bench::section("Scheduler — refresh-busy & read latency per policy × front end");
-    let benchmark = vrl_bench::arg_str("--benchmark", "ferret");
-    let rows = vrl_bench::arg_f64("--rows", 2048.0) as u32;
-    let banks = vrl_bench::arg_f64("--banks", 8.0) as u32;
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 256.0);
+    let benchmark = vrl_bench::arg_or("--benchmark", "ferret".to_owned());
+    let rows = vrl_bench::arg_or::<u32>("--rows", 2048);
+    let banks = vrl_bench::arg_or::<u32>("--banks", 8);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 256.0);
 
     let experiment = Experiment::new(ExperimentConfig {
         rows,

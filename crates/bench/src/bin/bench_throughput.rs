@@ -103,10 +103,10 @@ fn leg(report: &vrl_exec::PoolReport, throughput: &Throughput) -> Leg {
 
 fn main() {
     vrl_bench::section("Throughput — serial vs parallel matrix execution");
-    let rows = vrl_bench::arg_f64("--rows", 2048.0) as u32;
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 256.0);
+    let rows = vrl_bench::arg_or::<u32>("--rows", 2048);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 256.0);
     let default_workers = ExecConfig::from_env().workers;
-    let workers = vrl_bench::arg_f64("--workers", default_workers as f64).max(1.0) as usize;
+    let workers = vrl_bench::arg_or("--workers", default_workers).max(1);
     let assert_speedup = std::env::args().any(|a| a == "--assert-speedup");
 
     let experiment = Experiment::new(ExperimentConfig {

@@ -24,7 +24,7 @@ struct Fig4 {
 
 fn main() {
     vrl_bench::section("Figure 4 — refresh performance overhead (normalized to RAIDR)");
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 2048.0);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 2048.0);
     let experiment = Experiment::new(ExperimentConfig {
         duration_ms,
         ..Default::default()

@@ -24,7 +24,7 @@ struct PowerRow {
 
 fn main() {
     vrl_bench::section("Refresh power vs RAIDR (Section 4.1)");
-    let duration_ms = vrl_bench::arg_f64("--duration-ms", 1024.0);
+    let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
     let experiment = Experiment::new(ExperimentConfig {
         duration_ms,
         ..Default::default()

@@ -130,10 +130,12 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
     }
 }
 
-/// [`flag_value`] over `std::env::args`, falling back to `default`
-/// when the flag is absent; a missing or malformed value exits with
-/// status 2.
-fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
+/// Parses `flag`'s value from `std::env::args` as a `T` (`f64` for
+/// `--duration-ms`, `u32` for `--rows`, `String` for `--benchmark`),
+/// falling back to `default` when the flag is absent. A present flag
+/// whose value is missing or does not parse as `T` exits with status 2,
+/// so a negative or fractional `--rows` is a usage error, not a cast.
+pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
     match flag_value(&args, flag) {
         Ok(value) => value.unwrap_or(default),
@@ -142,20 +144,6 @@ fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
             std::process::exit(2);
         }
     }
-}
-
-/// Parses a `--duration-ms <f64>` style flag from `std::env::args`,
-/// falling back to `default` when the flag is absent. A present flag
-/// whose value is missing or not a number exits with status 2.
-pub fn arg_f64(flag: &str, default: f64) -> f64 {
-    arg_or(flag, default)
-}
-
-/// Parses a `--benchmark <name>` style string flag from
-/// `std::env::args`, falling back to `default` when the flag is absent.
-/// A present flag without a value exits with status 2.
-pub fn arg_str(flag: &str, default: &str) -> String {
-    arg_or(flag, default.to_owned())
 }
 
 #[cfg(test)]
@@ -169,8 +157,8 @@ mod tests {
     }
 
     #[test]
-    fn arg_f64_falls_back() {
-        assert_eq!(arg_f64("--nonexistent-flag", 7.5), 7.5);
+    fn absent_flags_fall_back() {
+        assert_eq!(arg_or("--nonexistent-flag", 7.5), 7.5);
     }
 
     #[test]
@@ -196,6 +184,20 @@ mod tests {
         assert_eq!(
             rows(&["--rows", "1O24"]),
             Err("--rows: cannot parse \"1O24\"".to_owned())
+        );
+        // Integer flags reject what an `f64` parse and an `as` cast
+        // would have let through.
+        assert_eq!(
+            flag_value::<u32>(&args(&["--rows", "-5"]), "--rows"),
+            Err("--rows: cannot parse \"-5\"".to_owned())
+        );
+        assert_eq!(
+            flag_value::<usize>(&args(&["--workers", "2.7"]), "--workers"),
+            Err("--workers: cannot parse \"2.7\"".to_owned())
+        );
+        assert_eq!(
+            flag_value::<u32>(&args(&["--banks", "8"]), "--banks"),
+            Ok(Some(8))
         );
         let benchmark = flag_value::<String>(&args(&["--benchmark", "ferret"]), "--benchmark");
         assert_eq!(benchmark, Ok(Some("ferret".to_owned())));

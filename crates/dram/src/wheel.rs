@@ -13,7 +13,16 @@
 //! * a ring of [`NUM_BUCKETS`] unsorted buckets, each [`BUCKET_CYCLES`]
 //!   wide, spanning a window of `NUM_BUCKETS × BUCKET_CYCLES` ≈ 268 M
 //!   cycles — wider than the longest refresh period (256 ms = 256 M
-//!   cycles at 1 GHz), so steady-state schedules never leave the ring;
+//!   cycles at 1 GHz), so steady-state schedules never leave the ring.
+//!   A bucket is a singly linked list threaded through one node arena:
+//!   each slot keeps its first and last node, nodes are appended at the
+//!   tail (so a bucket lists its events in push order) and a drained
+//!   bucket's nodes go back on the arena's free list in one splice. A
+//!   row has at most one queued event, so the arena never outgrows the
+//!   bank's rows and a new wheel allocates only its zeroed slot table;
+//! * an occupancy bitmap, one bit per slot, so the drain finds the next
+//!   non-empty bucket a 64-slot word at a time with `trailing_zeros`
+//!   and [`RefreshQueue::events`] visits only occupied slots;
 //! * a `current` min-heap holding the bucket being drained (and any
 //!   event scheduled at or before the drain point, e.g. a postponed
 //!   refresh re-queued for "right after this access");
@@ -26,7 +35,10 @@
 //! `(due, row, original_due)` ascending. Each row has at most one queued
 //! event, so `(due, row)` already breaks every tie deterministically —
 //! the property test in `tests/wheel_equivalence.rs` pins this against a
-//! reference heap, including postponement re-queue patterns.
+//! reference heap, including postponement re-queue patterns, and
+//! `tests/wheel_order.rs` pins [`RefreshQueue::events`]' order (the
+//! snapshot bytes) against the ring of one `Vec` per bucket this layout
+//! replaced.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -46,14 +58,38 @@ pub const BUCKET_CYCLES: u64 = 1 << 15;
 /// cycles (≈ 268 ms) covers the longest retention bin (256 ms).
 pub const NUM_BUCKETS: usize = 1 << 13;
 
+/// Words of the occupancy bitmap.
+const WORDS: usize = NUM_BUCKETS / 64;
+
+/// End of a node list: never a valid arena index, so `nodes.get(NIL)`
+/// ends a walk.
+const NIL: u32 = u32::MAX;
+
+/// One ring event in the node arena, linked to the next event of its
+/// bucket (or of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    due: u64,
+    original_due: u64,
+    row: u32,
+    next: u32,
+}
+
 /// The bucketed timing wheel (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RefreshQueue {
-    /// Ring of unsorted future buckets. Invariant: every event in slot
+    /// `[first, last]` node of each ring slot's list, valid only where
+    /// `occupied` has the slot's bit. Invariant: every event in slot
     /// `b % NUM_BUCKETS` has absolute bucket `b` with
     /// `cursor < b < cursor + NUM_BUCKETS` — the mapping is one-to-one
     /// inside the window, so a slot never mixes rotations.
-    ring: Vec<Vec<RefreshEvent>>,
+    ends: Vec<[u32; 2]>,
+    /// One bit per ring slot: set while the slot's list is non-empty.
+    occupied: [u64; WORDS],
+    /// The ring's events; unlinked nodes are chained from `free`.
+    nodes: Vec<Node>,
+    /// Head of the free-node list.
+    free: u32,
     /// Events in the ring (excluding `current` and `overflow`).
     ring_len: usize,
     /// The bucket currently being drained, ordered. Also receives any
@@ -66,10 +102,6 @@ pub struct RefreshQueue {
     overflow: Vec<RefreshEvent>,
     /// Cached minimum deadline in `overflow` (`u64::MAX` when empty).
     overflow_min: u64,
-    /// Drain staging buffer, swapped with ring slots in `settle` so a
-    /// drained slot inherits a previously-used allocation instead of
-    /// dropping its own — steady-state drains never allocate.
-    scratch: Vec<RefreshEvent>,
 }
 
 impl Default for RefreshQueue {
@@ -82,13 +114,15 @@ impl RefreshQueue {
     /// An empty queue with the cursor at cycle 0.
     pub fn new() -> Self {
         RefreshQueue {
-            ring: vec![Vec::new(); NUM_BUCKETS],
+            ends: vec![[0; 2]; NUM_BUCKETS],
+            occupied: [0; WORDS],
+            nodes: Vec::new(),
+            free: NIL,
             ring_len: 0,
             current: BinaryHeap::new(),
             cursor: 0,
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            scratch: Vec::new(),
         }
     }
 
@@ -111,12 +145,40 @@ impl RefreshQueue {
             // point: competes with the current bucket's events directly.
             self.current.push(Reverse((due, row, original_due)));
         } else if bucket < self.cursor + NUM_BUCKETS as u64 {
-            self.ring[(bucket % NUM_BUCKETS as u64) as usize].push((due, row, original_due));
-            self.ring_len += 1;
+            self.link(bucket, (due, row, original_due));
         } else {
             self.overflow_min = self.overflow_min.min(due);
             self.overflow.push((due, row, original_due));
         }
+    }
+
+    /// Appends `event` to the list of ring bucket `bucket`.
+    fn link(&mut self, bucket: u64, (due, row, original_due): RefreshEvent) {
+        let node = Node {
+            due,
+            original_due,
+            row,
+            next: NIL,
+        };
+        let index = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let index = self.free;
+            self.free = self.nodes[index as usize].next;
+            self.nodes[index as usize] = node;
+            index
+        };
+        let slot = (bucket % NUM_BUCKETS as u64) as usize;
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            self.ends[slot] = [index, index];
+        } else {
+            self.nodes[self.ends[slot][1] as usize].next = index;
+            self.ends[slot][1] = index;
+        }
+        self.ring_len += 1;
     }
 
     /// The earliest queued deadline, without removing it.
@@ -142,27 +204,21 @@ impl RefreshQueue {
     }
 
     /// Ensures `current` holds the earliest events, advancing the cursor
-    /// over empty buckets and pulling the overflow level back into the
-    /// ring as the window moves. Amortized `O(1)` per event: the cursor
-    /// only ever moves forward, and each event is touched once per
-    /// level.
+    /// to the next occupied bucket and pulling the overflow level back
+    /// into the ring as the window moves. Amortized `O(1)` per event:
+    /// the cursor only ever moves forward, and each event is touched
+    /// once per level.
     fn settle(&mut self) {
         while self.current.is_empty() {
             if self.ring_len > 0 {
                 // Next non-empty bucket within the window. The invariant
                 // (slots hold exactly one absolute bucket each) makes the
-                // first hit the earliest bucket.
-                for step in 1..=NUM_BUCKETS as u64 {
-                    let slot = ((self.cursor + step) % NUM_BUCKETS as u64) as usize;
-                    if !self.ring[slot].is_empty() {
-                        self.cursor += step;
-                        std::mem::swap(&mut self.ring[slot], &mut self.scratch);
-                        self.ring_len -= self.scratch.len();
-                        self.current.extend(self.scratch.drain(..).map(Reverse));
-                        self.migrate_overflow();
-                        break;
-                    }
-                }
+                // first occupied slot after the cursor's the earliest.
+                let start = ((self.cursor + 1) % NUM_BUCKETS as u64) as usize;
+                let slot = self.next_occupied(start);
+                self.cursor += ((slot + NUM_BUCKETS - start) % NUM_BUCKETS) as u64 + 1;
+                self.drain_slot(slot);
+                self.migrate_overflow();
             } else if !self.overflow.is_empty() {
                 // Ring exhausted: jump the window to the earliest
                 // overflow deadline and refill.
@@ -174,17 +230,67 @@ impl RefreshQueue {
         }
     }
 
-    /// Every queued event, in no particular order — the snapshot
-    /// substrate. Rebuilding a queue by [`RefreshQueue::push`]-ing these
-    /// into a fresh wheel reproduces the exact pop order: expiry is
-    /// canonically `(due, row, original_due)` ascending regardless of
-    /// which internal level (ring, current bucket, overflow) an event
-    /// sat in when it was saved.
+    /// The first occupied slot at or after `start`, wrapping around the
+    /// ring. Only called while the ring holds an event.
+    fn next_occupied(&self, start: usize) -> usize {
+        let word = start / 64;
+        let here = self.occupied[word] & (u64::MAX << (start % 64));
+        if here != 0 {
+            return word * 64 + here.trailing_zeros() as usize;
+        }
+        // The last pass revisits `word`, whose bits below `start` lie
+        // one full turn ahead.
+        (1..=WORDS)
+            .map(|i| (word + i) % WORDS)
+            .find_map(|w| {
+                let bits = self.occupied[w];
+                (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+            })
+            .expect("the ring holds an event")
+    }
+
+    /// Moves ring slot `slot`'s events, in push order, into `current`
+    /// and returns their nodes to the free list.
+    fn drain_slot(&mut self, slot: usize) {
+        self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+        let [first, last] = self.ends[slot];
+        let nodes = &self.nodes;
+        let mut at = first;
+        let mut drained = 0;
+        self.current.extend(std::iter::from_fn(|| {
+            let node = nodes.get(at as usize)?;
+            at = node.next;
+            drained += 1;
+            Some(Reverse((node.due, node.row, node.original_due)))
+        }));
+        self.ring_len -= drained;
+        self.nodes[last as usize].next = self.free;
+        self.free = first;
+    }
+
+    /// Every queued event — the snapshot substrate, whose bytes depend
+    /// on this order: `current`'s heap order, then the ring slots in
+    /// ascending slot index with each slot's events in push order, then
+    /// the overflow level in push order. Rebuilding a queue by
+    /// [`RefreshQueue::push`]-ing these into a fresh wheel reproduces
+    /// the exact pop order: expiry is canonically
+    /// `(due, row, original_due)` ascending regardless of which internal
+    /// level (ring, current bucket, overflow) an event sat in when it
+    /// was saved.
     pub fn events(&self) -> Vec<RefreshEvent> {
         let mut out = Vec::with_capacity(self.len());
         out.extend(self.current.iter().map(|Reverse(e)| *e));
-        for slot in &self.ring {
-            out.extend_from_slice(slot);
+        for (word, &bits) in self.occupied.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut at = self.ends[slot][0];
+                while let Some(node) = self.nodes.get(at as usize) {
+                    out.push((node.due, node.row, node.original_due));
+                    at = node.next;
+                }
+            }
         }
         out.extend_from_slice(&self.overflow);
         out
@@ -199,14 +305,13 @@ impl RefreshQueue {
         }
         let mut kept = Vec::new();
         let mut kept_min = u64::MAX;
-        for event in self.overflow.drain(..) {
+        for event in std::mem::take(&mut self.overflow) {
             if event.0 < window_end {
                 let bucket = event.0 / BUCKET_CYCLES;
                 if bucket <= self.cursor {
                     self.current.push(Reverse(event));
                 } else {
-                    self.ring[(bucket % NUM_BUCKETS as u64) as usize].push(event);
-                    self.ring_len += 1;
+                    self.link(bucket, event);
                 }
             } else {
                 kept_min = kept_min.min(event.0);

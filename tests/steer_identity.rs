@@ -26,8 +26,16 @@ fn decoded(config: &SchedConfig, index: u32) -> (u32, u32, u32, u32) {
 fn check_index(config: &SchedConfig, index: u32) {
     let (bank, row, channel, rank) = decoded(config, index);
     assert_eq!(config.steer(index), (bank, row), "steer({index})");
-    assert_eq!(config.channel_of_index(index), channel, "channel_of_index({index})");
-    assert_eq!(config.channel_of_bank(bank), channel, "channel_of_bank({bank})");
+    assert_eq!(
+        config.channel_of_index(index),
+        channel,
+        "channel_of_index({index})"
+    );
+    assert_eq!(
+        config.channel_of_bank(bank),
+        channel,
+        "channel_of_bank({bank})"
+    );
     assert_eq!(config.rank_of_bank(bank), rank, "rank_of_bank({bank})");
 }
 

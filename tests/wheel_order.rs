@@ -171,7 +171,13 @@ fn run(seed: u64, rows: u32, steps: usize, check_every: usize) {
     let window = NUM_BUCKETS as u64 * BUCKET_CYCLES;
     // The real bin periods at 1 GHz, a short one for dense traffic and
     // one wider than the ring window.
-    let periods = [640_000u64, 64_000_000, 128_000_000, 256_000_000, window + 12_345];
+    let periods = [
+        640_000u64,
+        64_000_000,
+        128_000_000,
+        256_000_000,
+        window + 12_345,
+    ];
     let period_of = |row: u32| periods[(row as usize * 7 + seed as usize) % periods.len()];
 
     let mut wheel = RefreshQueue::new();
@@ -215,7 +221,10 @@ fn run(seed: u64, rows: u32, steps: usize, check_every: usize) {
                         6 | 7 => Some((due + rng.gen_range(0..200_000u64), original_due)),
                         // Postpone behind the cursor ("right after this
                         // access"), which lands in the current bucket.
-                        8 => Some((due.saturating_sub(rng.gen_range(0..BUCKET_CYCLES)), original_due)),
+                        8 => Some((
+                            due.saturating_sub(rng.gen_range(0..BUCKET_CYCLES)),
+                            original_due,
+                        )),
                         _ => None,
                     };
                     if let Some((next, original)) = requeue {
@@ -286,10 +295,10 @@ fn dense_wheels_keep_the_ring_order() {
 #[test]
 #[ignore = "long run: cargo test --release --test wheel_order -- --ignored"]
 fn long_runs_keep_the_ring_order() {
-    for seed in 1_000..1_200 {
-        run(seed, [32, 64, 512][seed as usize % 3], 40_000, 1);
+    for seed in 1_000..1_060 {
+        run(seed, [32, 64, 512][seed as usize % 3], 20_000, 1);
     }
-    for seed in 2_000..2_010 {
-        run(seed, 8192, 200_000, 97);
+    for seed in 2_000..2_004 {
+        run(seed, 8192, 50_000, 199);
     }
 }
