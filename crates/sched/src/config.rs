@@ -227,9 +227,8 @@ impl SchedConfig {
     /// field of [`SchedConfig::steer`]'s decode (its lowest bits),
     /// without decoding the rest — what a channel shard needs to drop
     /// foreign records.
-    #[inline]
     pub fn channel_of_index(&self, row_index: u32) -> u32 {
-        field(row_index, 0, self.map.channel_bits)
+        row_index & (self.channels() - 1)
     }
 
     /// The global row index of `(global bank, row)` — the identifier
