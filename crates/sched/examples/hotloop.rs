@@ -66,8 +66,8 @@ const COLD_SEED: u64 = 42;
 /// Timed runs per (engine, benchmark); the median is reported.
 const REPEATS: usize = 5;
 /// Ceiling on `dimm 2x2x4 / dram::sim` (ns/event) at this geometry.
-/// With the linked-list refresh wheel, which speeds up both engines, 11
-/// runs on a shared 2-vCPU x86-64 host read 7.6–9.8× (median 8.7×),
+/// With the linked-list refresh wheel, which speeds up both engines, 12
+/// runs on a shared 2-vCPU x86-64 host read 7.6–10.6× (median 8.7×),
 /// against 8.1–10.4× (median 9.1×) over 9 runs of the ring-of-`Vec`s
 /// wheel alternated with them; 22 earlier runs of that wheel read
 /// 6.9–10.8×. The scheduler whose admission copied every record through
