@@ -8,6 +8,8 @@
 //! unguarded run must lose data, the guarded run must not, and the
 //! guard's refresh-busy overhead must stay within 10% of fault-free VRL.
 
+use std::num::NonZeroU32;
+
 use serde::Serialize;
 
 use vrl_dram::experiment::{Experiment, ExperimentConfig, PolicyKind};
@@ -44,7 +46,7 @@ fn scenario(fraction: f64, seed: u64) -> FaultConfig {
 fn main() {
     vrl_bench::section("Ablation — fault rate × runtime guard");
     let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
-    let rows = vrl_bench::arg_or::<u32>("--rows", 1024);
+    let rows = vrl_bench::arg_or("--rows", NonZeroU32::new(1024).expect("1024 is non-zero")).get();
     let benchmark = "ferret";
     let experiment = Experiment::new(ExperimentConfig {
         rows,

@@ -10,9 +10,11 @@
 //!
 //! * `--benchmark <name>` (default `ferret`) — trace for the per-policy
 //!   table,
-//! * `--rows <u32>` (default 2048) — total rows across the rank,
+//! * `--rows <u32>` (default 2048, at least 1) — total rows across the rank,
 //! * `--banks <u32>` (default 8) — banks the rows are split across,
 //! * `--duration-ms <f64>` (default 256) — simulated wall time per run.
+
+use std::num::NonZeroU32;
 
 use serde::Serialize;
 
@@ -50,7 +52,7 @@ struct BenchSched {
 fn main() {
     vrl_bench::section("Scheduler — refresh-busy & read latency per policy × front end");
     let benchmark = vrl_bench::arg_or("--benchmark", "ferret".to_owned());
-    let rows = vrl_bench::arg_or::<u32>("--rows", 2048);
+    let rows = vrl_bench::arg_or("--rows", NonZeroU32::new(2048).expect("2048 is non-zero")).get();
     let banks = vrl_bench::arg_or::<u32>("--banks", 8);
     let duration_ms = vrl_bench::arg_or("--duration-ms", 256.0);
 

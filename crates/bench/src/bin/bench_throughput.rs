@@ -8,7 +8,7 @@
 //!
 //! Flags:
 //!
-//! * `--rows <u32>` (default 2048) — bank rows per simulation,
+//! * `--rows <u32>` (default 2048, at least 1) — bank rows per simulation,
 //! * `--duration-ms <f64>` (default 256) — simulated wall time per run,
 //! * `--workers <usize>` (default: `VRL_THREADS` or available
 //!   parallelism) — pool size for the parallel leg,
@@ -19,6 +19,8 @@
 //! Engine speed (SoA vs reference scheduler, every front end against
 //! `dram::sim`) is metered and gated by the `vrl-sched` `hotloop`
 //! example, not here.
+
+use std::num::NonZeroU32;
 
 use serde::Serialize;
 
@@ -103,7 +105,7 @@ fn leg(report: &vrl_exec::PoolReport, throughput: &Throughput) -> Leg {
 
 fn main() {
     vrl_bench::section("Throughput — serial vs parallel matrix execution");
-    let rows = vrl_bench::arg_or::<u32>("--rows", 2048);
+    let rows = vrl_bench::arg_or("--rows", NonZeroU32::new(2048).expect("2048 is non-zero")).get();
     let duration_ms = vrl_bench::arg_or("--duration-ms", 256.0);
     let default_workers = ExecConfig::from_env().workers;
     let workers = vrl_bench::arg_or("--workers", default_workers).max(1);

@@ -131,10 +131,11 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 }
 
 /// Parses `flag`'s value from `std::env::args` as a `T` (`f64` for
-/// `--duration-ms`, `u32` for `--rows`, `String` for `--benchmark`),
-/// falling back to `default` when the flag is absent. A present flag
-/// whose value is missing or does not parse as `T` exits with status 2,
-/// so a negative or fractional `--rows` is a usage error, not a cast.
+/// `--duration-ms`, `NonZeroU32` for `--rows`, `String` for
+/// `--benchmark`), falling back to `default` when the flag is absent. A
+/// present flag whose value is missing or does not parse as `T` exits
+/// with status 2, so a negative, fractional or zero `--rows` is a usage
+/// error, not a cast or a panic.
 pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
     match flag_value(&args, flag) {
@@ -190,6 +191,11 @@ mod tests {
         assert_eq!(
             flag_value::<u32>(&args(&["--rows", "-5"]), "--rows"),
             Err("--rows: cannot parse \"-5\"".to_owned())
+        );
+        // A bank needs a row: `--rows 0` is rejected, not passed on.
+        assert_eq!(
+            flag_value::<std::num::NonZeroU32>(&args(&["--rows", "0"]), "--rows"),
+            Err("--rows: cannot parse \"0\"".to_owned())
         );
         assert_eq!(
             flag_value::<usize>(&args(&["--workers", "2.7"]), "--workers"),

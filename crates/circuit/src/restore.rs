@@ -89,12 +89,6 @@ impl RestoreModel {
         v
     }
 
-    /// Charge fraction (of `Vdd`) after a restore window, starting at
-    /// `fraction_start`.
-    pub fn fraction_after(&self, fraction_start: f64, window: f64) -> f64 {
-        self.voltage_after(fraction_start * self.vdd, window) / self.vdd
-    }
-
     /// The paper's Equation 12 single-exponential form, for comparison.
     pub fn voltage_after_exponential(&self, v_start: f64, window: f64) -> f64 {
         if window <= 0.0 {

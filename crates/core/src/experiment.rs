@@ -192,6 +192,12 @@ impl ExperimentConfig {
 impl Experiment {
     /// Builds the experiment: generates the retention profile, bins it,
     /// and computes the MPRSF table from the analytical model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.rows` or `config.cells_per_row` is zero: the
+    /// retention profile needs at least one cell. Command-line front
+    /// ends reject `--rows 0` as a usage error before calling this.
     pub fn new(config: ExperimentConfig) -> Self {
         let profile = config.build_profile();
         let plan = config.build_plan(&profile);

@@ -59,7 +59,6 @@ pub mod physics;
 pub mod plan;
 pub mod spans;
 pub mod tau;
-pub mod vrt_adapt;
 
 pub use checkpoint::{resume, CheckpointConfig, CheckpointOutcome, ResumeReport};
 pub use engine::{Engine, Outcome};

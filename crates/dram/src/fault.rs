@@ -8,7 +8,7 @@
 //!
 //! * **VRT toggles** — rows flip between a strong and a weak retention
 //!   state at runtime (reusing
-//!   [`VrtProcess`](vrl_retention::vrt::VrtProcess)).
+//!   [`VrtProcess`]).
 //! * **Profiler optimism** — a fraction of rows whose true retention is
 //!   a constant factor worse than the profiled value the refresh plan
 //!   was built from.

@@ -3,23 +3,23 @@
 //! One layer, three concerns, shared by every front end (`dram::sim`,
 //! `dram::controller`, `sched`, `guard`, `serve`):
 //!
-//! 1. **Structured event tracing** — the [`Recorder`](recorder::Recorder)
+//! 1. **Structured event tracing** — the [`Recorder`]
 //!    implements the simulator's observer trait and captures typed
-//!    [`Event`](event::Event)s (activations, full/partial refreshes,
+//!    [`Event`]s (activations, full/partial refreshes,
 //!    postpones, pull-ins, scrubs, degrades, injected faults, queue
-//!    stalls) into a bounded [`EventRing`](ring::EventRing). Overflow
+//!    stalls) into a bounded [`EventRing`]. Overflow
 //!    drops the *newest* events and counts them — recording never
 //!    perturbs or blocks the simulation.
 //! 2. **Metrics registry** — named monotonic counters, gauges, and
-//!    fixed-bucket histograms ([`MetricsRegistry`](metrics::MetricsRegistry))
+//!    fixed-bucket histograms ([`MetricsRegistry`])
 //!    with handle-based hot paths and deterministic cross-worker
 //!    snapshot merging (counters sum, gauges max, histograms bucket-wise).
 //! 3. **Profiling hooks** — RAII span timers
-//!    ([`PhaseProfiler`](profile::PhaseProfiler)) that accumulate a
+//!    ([`PhaseProfiler`]) that accumulate a
 //!    per-phase wall/cycle breakdown.
 //!
 //! Exports go to Chrome `trace_event` JSON
-//! ([`chrome_trace_json`](export::chrome_trace_json), loadable in
+//! ([`chrome_trace_json`], loadable in
 //! Perfetto or `chrome://tracing`) and flat JSON snapshots; the
 //! [`validate`] module re-parses exported documents with a hand-rolled
 //! JSON reader so the CLI and CI can check them without external tools.

@@ -13,10 +13,13 @@
 //! * [`profile`] — deterministic per-cell/per-row profile generation,
 //! * [`binning`] — RAIDR-style refresh-period binning (Figure 3b),
 //! * [`leakage`] — the charge-decay law shared with the circuit model,
-//! * [`profiler`] — a simulated multi-pattern profiling procedure with a
-//!   guard band,
-//! * [`vrt`] — a variable-retention-time (AVATAR-style) extension used
-//!   for failure injection.
+//! * [`temperature`] — derating a profile to a hotter operating point,
+//! * [`vrt`] — the two-state variable-retention-time (AVATAR-style)
+//!   process that the simulator's fault injector toggles at runtime.
+//!
+//! Profiling error itself is not modelled here: the fault injector in
+//! `vrl-dram-sim` (`OptimismFault`) degrades a fraction of rows' true
+//! retention below the profiled value a plan was built from.
 //!
 //! # Example
 //!
@@ -39,7 +42,6 @@ pub mod binning;
 pub mod distribution;
 pub mod leakage;
 pub mod profile;
-pub mod profiler;
 pub mod temperature;
 pub mod vrt;
 

@@ -61,18 +61,6 @@ impl TemperatureModel {
             profile.cells_per_row(),
         )
     }
-
-    /// The hottest temperature at which a retention time still covers a
-    /// refresh period (the thermal headroom of a plan entry).
-    pub fn max_operating_celsius(&self, retention_ms: f64, period_ms: f64) -> f64 {
-        assert!(
-            retention_ms > 0.0 && period_ms > 0.0,
-            "times must be positive"
-        );
-        // factor needed = period / retention; solve for temperature.
-        let needed = period_ms / retention_ms;
-        self.reference_celsius - self.halving_celsius * needed.log2()
-    }
 }
 
 impl Default for TemperatureModel {
@@ -112,16 +100,5 @@ mod tests {
         let hot = t.derate_profile(&p, 55.0);
         assert!((hot.row(0).weakest_ms - 50.0).abs() < 1e-9);
         assert!((hot.row(1).weakest_ms - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn max_operating_inverts_derating() {
-        let t = TemperatureModel::standard();
-        // A 1024 ms row at 45 °C covers a 256 ms period until retention
-        // shrinks 4×, i.e. +20 °C.
-        let tmax = t.max_operating_celsius(1024.0, 256.0);
-        assert!((tmax - 65.0).abs() < 1e-9);
-        // Consistency: derating at tmax lands exactly on the period.
-        assert!((t.derate_ms(1024.0, tmax) - 256.0).abs() < 1e-9);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Real DRAM cells occasionally flip between two retention states
 //! (AVATAR \[33\] mitigates exactly this). VRL-DRAM, like RAIDR, assumes a
-//! static profile; this module models the VRT hazard so the integrity
-//! checker and the ablation benches can quantify how much margin the
-//! profiler's guard band must carry.
+//! static profile; this module models the VRT hazard. The simulator's
+//! fault injector gives a fraction of rows one process each and reports
+//! every toggle to the integrity checker and the runtime guard.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,12 +73,6 @@ impl VrtProcess {
         }
     }
 
-    /// The worst retention this process can present (the value a safe
-    /// profiler must assume).
-    pub fn worst_case_ms(&self) -> f64 {
-        self.weak_ms
-    }
-
     /// The mutable run-state `(is_weak, rng_state)` — everything
     /// [`VrtProcess::step`] changes. Used by checkpointing to capture a
     /// process mid-run.
@@ -102,7 +96,6 @@ mod tests {
         let p = VrtProcess::new(1000.0, 200.0, 0.1, 7);
         assert!(!p.is_weak());
         assert_eq!(p.retention_ms(), 1000.0);
-        assert_eq!(p.worst_case_ms(), 200.0);
     }
 
     #[test]

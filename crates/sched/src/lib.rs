@@ -12,7 +12,7 @@
 //! struct-of-arrays form and allocates nothing in steady state; whole
 //! DIMMs can also run as one independent [`Scheduler::for_channel`]
 //! shard per channel, bit-identical to the single-instance run (the
-//! [`reference`] module keeps the original per-bank-heap engine as the
+//! [`mod@reference`] module keeps the original per-bank-heap engine as the
 //! executable specification both are tested against).
 //!
 //! With one bank and parallelization disabled the scheduler is

@@ -70,6 +70,7 @@
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error (unknown
 //! flag, missing or malformed value — never a silent default).
 
+use std::num::NonZeroU32;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -98,6 +99,15 @@ type CmdResult = Result<ExitCode, UsageError>;
 /// Exit code for usage errors, following the `sysexits`/getopt
 /// convention of 2 for bad invocations.
 const USAGE_EXIT: u8 = 2;
+
+/// `--rows` when absent: the paper's 8192-row bank.
+const DEFAULT_ROWS: NonZeroU32 = NonZeroU32::new(8192).expect("8192 is non-zero");
+
+/// The `--rows` flag. A bank needs at least one row to profile, so `0`
+/// is a usage error like any other unparsable value.
+fn rows_flag(args: &[String]) -> Result<u32, UsageError> {
+    Ok(flag_parse(args, "--rows", DEFAULT_ROWS)?.get())
+}
 
 fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> bool {
     match std::fs::write(path, snapshot.to_json()) {
@@ -336,11 +346,12 @@ fn cmd_mprsf(args: &[String]) -> CmdResult {
 
 fn cmd_plan(args: &[String]) -> CmdResult {
     reject_unknown_flags(args, &["--rows", "--seed", "--nbits"])?;
-    let rows: usize = flag_parse(args, "--rows", 8192)?;
+    let rows = rows_flag(args)?;
     let seed: u64 = flag_parse(args, "--seed", 42)?;
     let nbits: u32 = flag_parse(args, "--nbits", 2)?;
     let model = AnalyticalModel::new(Technology::n90());
-    let profile = BankProfile::generate(&RetentionDistribution::liu_et_al(), rows, 32, seed);
+    let profile =
+        BankProfile::generate(&RetentionDistribution::liu_et_al(), rows as usize, 32, seed);
     let plan = RefreshPlan::build(&model, &profile, nbits, 0.0);
     println!("bank: {rows} rows, seed {seed}, nbits {nbits}");
     for bin in RefreshBin::ALL {
@@ -395,7 +406,7 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
             vrl_trace::WorkloadSpec::BENCHMARKS.join(", ")
         )));
     };
-    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let rows = rows_flag(args)?;
     let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
     let kinds = policy_flag(args, "all")?;
     let experiment = Experiment::new(ExperimentConfig {
@@ -433,7 +444,7 @@ fn cmd_compare(args: &[String]) -> CmdResult {
             "--manifest",
         ],
     )?;
-    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let rows = rows_flag(args)?;
     let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
     let experiment = Experiment::new(ExperimentConfig {
         rows,
@@ -536,7 +547,7 @@ fn cmd_sched(args: &[String]) -> CmdResult {
             vrl_trace::WorkloadSpec::BENCHMARKS.join(", ")
         )));
     };
-    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let rows = rows_flag(args)?;
     let channels: u32 = flag_parse(args, "--channels", 1)?;
     let ranks: u32 = flag_parse(args, "--ranks", 1)?;
     let banks: u32 = flag_parse(args, "--banks", 8)?;
@@ -675,7 +686,7 @@ fn cmd_trace(args: &[String]) -> CmdResult {
             vrl_trace::WorkloadSpec::BENCHMARKS.join(", ")
         )));
     };
-    let rows: u32 = flag_parse(args, "--rows", 8192)?;
+    let rows = rows_flag(args)?;
     let channels: u32 = flag_parse(args, "--channels", 1)?;
     let ranks: u32 = flag_parse(args, "--ranks", 1)?;
     let banks: u32 = flag_parse(args, "--banks", 8)?;

@@ -2,7 +2,7 @@
 //! `vrl submit` and the serve test suite.
 //!
 //! The client mirrors the server's own input discipline: frames are
-//! read through the bounded [`LineReader`](crate::wire::LineReader)
+//! read through the bounded [`LineReader`]
 //! (a misbehaving server cannot balloon client memory), and the socket
 //! outcomes a caller must react to — disconnect, over-long frame,
 //! timeout — are typed [`ClientError`] variants instead of raw

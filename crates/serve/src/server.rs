@@ -6,7 +6,7 @@
 //! anything itself; it enqueues a closure and relays the frames the
 //! worker sends back over an in-process channel. Everything observable
 //! (`serve.*` metrics, job lifecycle events, the artifact cache) hangs
-//! off one [`ServerInner`] shared by every thread.
+//! off one `ServerInner` shared by every thread.
 //!
 //! Hostile or unlucky traffic is *shed at admission*, never buffered:
 //! the accept loop bounds concurrent connections, the handler bounds
@@ -1103,7 +1103,7 @@ impl Server {
     }
 
     /// Programmatic shutdown; see
-    /// [`Request::Shutdown`](crate::protocol::Request::Shutdown) for
+    /// [`Request::Shutdown`] for
     /// the drain/now semantics. Returns the number of jobs saved to the
     /// manifest.
     pub fn shutdown(mut self, drain: bool) -> usize {

@@ -11,7 +11,8 @@
 //! 1 and its typed message. `compare` is pinned the same way (stdout
 //! across pool sizes, its `--metrics` file, and a `--manifest` sweep
 //! plus its re-run with the manifest's bytes), with the hashes recorded
-//! before the sweep entry points were unified.
+//! before the sweep entry points were unified. `--rows 0` must be a
+//! usage error (exit code 2) on every command that takes it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -255,6 +256,26 @@ fn resuming_with_the_wrong_subcommand_is_a_typed_failure() {
             String::from_utf8_lossy(&out.stderr),
             message,
             "`vrl {args}` stderr"
+        );
+    }
+}
+
+#[test]
+fn zero_rows_is_a_usage_error() {
+    let w = WorkDir::new("rows0");
+    for args in [
+        "plan --rows 0",
+        "simulate ferret --rows 0",
+        "compare --rows 0",
+        "sched ferret --rows 0",
+        "trace ferret --rows 0",
+    ] {
+        let out = w.vrl(args);
+        assert_eq!(out.status.code(), Some(2), "`vrl {args}` exit code");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("usage error: --rows got an invalid value \"0\""),
+            "`vrl {args}` stderr: {stderr}"
         );
     }
 }

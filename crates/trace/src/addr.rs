@@ -1,8 +1,8 @@
 //! Physical-address ↔ (channel, rank, bank, row, column) mapping.
 //!
-//! Raw traces (Ramulator-style) carry byte addresses; the bank simulator
-//! works in row indices. The mapping here is the common row-interleaved
-//! layout generalized to a full DIMM:
+//! The multi-bank scheduler steers each record's row index to a DIMM
+//! location through this map's field widths. The mapping here is the
+//! common row-interleaved layout generalized to a full DIMM:
 //! `| row | rank | bank | channel | column | offset |`.
 //!
 //! Channel bits sit just above the column bits so consecutive cache
@@ -12,86 +12,7 @@
 //! (`channel_bits == rank_bits == 0`) reproduces the historical
 //! `| row | bank | column | offset |` layout bit-for-bit.
 
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
-
-/// A physical byte address outside the mapped capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AddressOutOfRange {
-    /// The offending address.
-    pub addr: u64,
-    /// The map's capacity in bytes (first invalid address).
-    pub capacity_bytes: u64,
-}
-
-impl fmt::Display for AddressOutOfRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "address {:#x} is outside the mapped capacity of {} bytes",
-            self.addr, self.capacity_bytes
-        )
-    }
-}
-
-impl std::error::Error for AddressOutOfRange {}
-
-/// A [`Location`] with at least one field wider than its configured bit
-/// width, carrying the full geometry so the offending field is nameable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocationOutOfRange {
-    /// The rejected location.
-    pub loc: Location,
-    /// The map whose field widths were exceeded.
-    pub map: AddressMap,
-}
-
-impl LocationOutOfRange {
-    /// `(name, value, limit)` for every field that exceeds its width.
-    pub fn offending_fields(&self) -> Vec<(&'static str, u32, u64)> {
-        let m = &self.map;
-        let checks = [
-            ("channel", self.loc.channel, 1u64 << m.channel_bits),
-            ("rank", self.loc.rank, 1u64 << m.rank_bits),
-            ("bank", self.loc.bank, 1u64 << m.bank_bits),
-            ("row", self.loc.row, 1u64 << m.row_bits),
-            ("column", self.loc.column, 1u64 << m.column_bits),
-        ];
-        checks
-            .into_iter()
-            .filter(|&(_, v, limit)| v as u64 >= limit)
-            .collect()
-    }
-}
-
-impl fmt::Display for LocationOutOfRange {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let m = &self.map;
-        write!(
-            f,
-            "location (channel {}, rank {}, bank {}, row {}, column {}) \
-             exceeds the mapped geometry of {} channels × {} ranks × {} \
-             banks × {} rows × {} columns:",
-            self.loc.channel,
-            self.loc.rank,
-            self.loc.bank,
-            self.loc.row,
-            self.loc.column,
-            1u64 << m.channel_bits,
-            1u64 << m.rank_bits,
-            1u64 << m.bank_bits,
-            1u64 << m.row_bits,
-            1u64 << m.column_bits,
-        )?;
-        for (name, value, limit) in self.offending_fields() {
-            write!(f, " {name} {value} >= {limit};")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for LocationOutOfRange {}
 
 /// DRAM address-mapping parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -125,19 +46,6 @@ pub struct Location {
     pub column: u32,
 }
 
-impl Location {
-    /// A single-channel single-rank location — the historical shape.
-    pub fn rank_local(bank: u32, row: u32, column: u32) -> Self {
-        Location {
-            channel: 0,
-            rank: 0,
-            bank,
-            row,
-            column,
-        }
-    }
-}
-
 impl AddressMap {
     /// The evaluation configuration: 64 B lines, 32 columns, 1 channel,
     /// 1 rank, 8 banks, 8192 rows.
@@ -168,8 +76,7 @@ impl AddressMap {
     /// modulo the capacity**: the row field simply masks away the high
     /// bits, so `decode(addr) == decode(addr % capacity_bytes())`. This
     /// mirrors how a real controller ignores address bits above its
-    /// decode width. Use [`AddressMap::checked_decode`] to reject such
-    /// addresses instead of wrapping.
+    /// decode width.
     pub fn decode(&self, addr: u64) -> Location {
         let a = addr >> self.offset_bits;
         let column = (a & ((1 << self.column_bits) - 1)) as u32;
@@ -189,58 +96,6 @@ impl AddressMap {
             column,
         }
     }
-
-    /// Decodes a physical byte address, rejecting addresses beyond the
-    /// mapped capacity instead of wrapping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AddressOutOfRange`] if
-    /// `addr >= self.capacity_bytes()`.
-    pub fn checked_decode(&self, addr: u64) -> Result<Location, AddressOutOfRange> {
-        if addr >= self.capacity_bytes() {
-            return Err(AddressOutOfRange {
-                addr,
-                capacity_bytes: self.capacity_bytes(),
-            });
-        }
-        Ok(self.decode(addr))
-    }
-
-    /// Encodes a location back to the base byte address of its line.
-    ///
-    /// Like [`AddressMap::decode`], fields wider than their configured
-    /// bit widths wrap: only the low bits of each field survive the
-    /// round trip. Use [`AddressMap::checked_encode`] to reject such
-    /// locations.
-    pub fn encode(&self, loc: Location) -> u64 {
-        let mut a = (loc.row as u64) & ((1 << self.row_bits) - 1);
-        a = (a << self.rank_bits) | (loc.rank as u64 & ((1 << self.rank_bits) - 1));
-        a = (a << self.bank_bits) | (loc.bank as u64 & ((1 << self.bank_bits) - 1));
-        a = (a << self.channel_bits) | (loc.channel as u64 & ((1 << self.channel_bits) - 1));
-        a = (a << self.column_bits) | (loc.column as u64 & ((1 << self.column_bits) - 1));
-        a << self.offset_bits
-    }
-
-    /// Encodes a location, rejecting any field that exceeds its
-    /// configured bit width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LocationOutOfRange`] naming every field (channel, rank,
-    /// bank, row, column) that does not fit, together with the full
-    /// mapped geometry.
-    pub fn checked_encode(&self, loc: Location) -> Result<u64, LocationOutOfRange> {
-        let fits = (loc.channel as u64) < (1 << self.channel_bits)
-            && (loc.rank as u64) < (1 << self.rank_bits)
-            && (loc.bank as u64) < (1 << self.bank_bits)
-            && (loc.row as u64) < (1 << self.row_bits)
-            && (loc.column as u64) < (1 << self.column_bits);
-        if !fits {
-            return Err(LocationOutOfRange { loc, map: *self });
-        }
-        Ok(self.encode(loc))
-    }
 }
 
 impl Default for AddressMap {
@@ -252,15 +107,6 @@ impl Default for AddressMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let m = AddressMap::paper_default();
-        for (bank, row, column) in [(0, 0, 0), (7, 8191, 31), (3, 4096, 17)] {
-            let loc = Location::rank_local(bank, row, column);
-            assert_eq!(m.decode(m.encode(loc)), loc);
-        }
-    }
 
     #[test]
     fn capacity_matches_bits() {
@@ -320,7 +166,16 @@ mod tests {
             let a = a >> m.column_bits;
             let bank = (a & ((1 << m.bank_bits) - 1)) as u32;
             let row = ((a >> m.bank_bits) & ((1 << m.row_bits) - 1)) as u32;
-            assert_eq!(loc, Location::rank_local(bank, row, column));
+            assert_eq!(
+                loc,
+                Location {
+                    channel: 0,
+                    rank: 0,
+                    bank,
+                    row,
+                    column
+                }
+            );
         }
     }
 
@@ -330,184 +185,5 @@ mod tests {
         let a = m.decode(10 * 64);
         let b = m.decode(10 * 64 + m.capacity_bytes());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn checked_decode_rejects_out_of_capacity() {
-        let m = AddressMap::paper_default();
-        assert!(m.checked_decode(m.capacity_bytes() - 1).is_ok());
-        let err = m
-            .checked_decode(m.capacity_bytes())
-            .expect_err("capacity is the first invalid address");
-        assert_eq!(err.capacity_bytes, m.capacity_bytes());
-        assert_eq!(err.addr, m.capacity_bytes());
-        assert!(err.to_string().contains("outside the mapped capacity"));
-    }
-
-    #[test]
-    fn checked_encode_rejects_overwide_fields() {
-        let m = AddressMap::paper_default();
-        let ok = Location::rank_local(7, 8191, 31);
-        assert_eq!(m.checked_encode(ok).expect("fits"), m.encode(ok));
-        let wide = Location::rank_local(8, 0, 0); // needs 4 bits, map has 3
-        let err = m.checked_encode(wide).expect_err("bank too wide");
-        assert_eq!(err.offending_fields(), vec![("bank", 8, 8)]);
-        // The unchecked encode wraps the field instead of bleeding it
-        // into the row bits.
-        assert_eq!(m.encode(wide), m.encode(Location::rank_local(0, 0, 0)));
-    }
-
-    #[test]
-    fn encode_errors_name_the_full_geometry() {
-        let m = AddressMap {
-            channel_bits: 1,
-            rank_bits: 1,
-            ..AddressMap::paper_default()
-        };
-        let bad = Location {
-            channel: 2,
-            rank: 3,
-            bank: 9,
-            row: 10_000,
-            column: 0,
-        };
-        let err = m.checked_encode(bad).expect_err("every field too wide");
-        let fields: Vec<&str> = err.offending_fields().iter().map(|f| f.0).collect();
-        assert_eq!(fields, vec!["channel", "rank", "bank", "row"]);
-        let msg = err.to_string();
-        for needle in [
-            "channel 2 >= 2",
-            "rank 3 >= 2",
-            "bank 9 >= 8",
-            "row 10000 >= 8192",
-            "2 channels × 2 ranks × 8 banks × 8192 rows",
-        ] {
-            assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
-        }
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Builds a map from sampled field widths: the paper's geometry
-        /// plus smaller and larger ones, now spanning multi-channel
-        /// multi-rank DIMMs.
-        fn map(
-            offset_bits: u32,
-            column_bits: u32,
-            channel_bits: u32,
-            bank_bits: u32,
-            rank_bits: u32,
-            row_bits: u32,
-        ) -> AddressMap {
-            AddressMap {
-                offset_bits,
-                column_bits,
-                channel_bits,
-                bank_bits,
-                rank_bits,
-                row_bits,
-            }
-        }
-
-        proptest! {
-            /// `decode ∘ encode` is the identity for every in-range
-            /// location, on every geometry including multi-channel and
-            /// multi-rank ones.
-            #[test]
-            fn encode_decode_round_trips_everywhere(
-                offset_bits in 1u32..8,
-                column_bits in 1u32..8,
-                channel_bits in 0u32..3,
-                bank_bits in 0u32..5,
-                rank_bits in 0u32..3,
-                row_bits in 4u32..16,
-                channel_raw in 0u32..u32::MAX,
-                rank_raw in 0u32..u32::MAX,
-                bank_raw in 0u32..u32::MAX,
-                row_raw in 0u32..u32::MAX,
-                column_raw in 0u32..u32::MAX,
-            ) {
-                let m = map(offset_bits, column_bits, channel_bits, bank_bits, rank_bits, row_bits);
-                let loc = Location {
-                    channel: channel_raw % (1 << m.channel_bits),
-                    rank: rank_raw % (1 << m.rank_bits),
-                    bank: bank_raw % (1 << m.bank_bits),
-                    row: row_raw % (1 << m.row_bits),
-                    column: column_raw % (1 << m.column_bits),
-                };
-                let addr = m.checked_encode(loc).expect("in-range location");
-                prop_assert!(addr < m.capacity_bytes());
-                prop_assert_eq!(m.decode(addr), loc);
-                prop_assert_eq!(m.checked_decode(addr).expect("in range"), loc);
-            }
-
-            /// `encode ∘ decode` recovers the line base address (the
-            /// offset bits are not representable in a `Location`), and
-            /// out-of-capacity addresses wrap modulo capacity — the
-            /// documented contract — while `checked_decode` rejects
-            /// exactly those.
-            #[test]
-            fn decode_wraps_and_checked_decode_rejects(
-                offset_bits in 1u32..8,
-                column_bits in 1u32..8,
-                channel_bits in 0u32..3,
-                bank_bits in 0u32..5,
-                rank_bits in 0u32..3,
-                row_bits in 4u32..16,
-                addr in 0u64..u64::MAX,
-            ) {
-                let m = map(offset_bits, column_bits, channel_bits, bank_bits, rank_bits, row_bits);
-                let wrapped = addr % m.capacity_bytes();
-                let line_base = wrapped & !((1u64 << m.offset_bits) - 1);
-                prop_assert_eq!(m.encode(m.decode(addr)), line_base);
-                prop_assert_eq!(m.decode(addr), m.decode(wrapped));
-                if addr >= m.capacity_bytes() {
-                    prop_assert!(m.checked_decode(addr).is_err());
-                } else {
-                    prop_assert!(m.checked_decode(addr).is_ok());
-                }
-            }
-
-            /// Any over-wide field is rejected by `checked_encode` with
-            /// an error naming exactly the offending fields.
-            #[test]
-            fn checked_encode_names_every_overwide_field(
-                channel_bits in 0u32..3,
-                bank_bits in 0u32..5,
-                rank_bits in 0u32..3,
-                row_bits in 4u32..16,
-                channel in 0u32..16,
-                rank in 0u32..16,
-                bank in 0u32..64,
-                row in 0u32..131072,
-            ) {
-                let m = map(3, 3, channel_bits, bank_bits, rank_bits, row_bits);
-                let loc = Location { channel, rank, bank, row, column: 0 };
-                let wide = [
-                    ("channel", channel as u64 >= 1 << channel_bits),
-                    ("rank", rank as u64 >= 1 << rank_bits),
-                    ("bank", bank as u64 >= 1 << bank_bits),
-                    ("row", row as u64 >= 1 << row_bits),
-                ];
-                match m.checked_encode(loc) {
-                    Ok(addr) => {
-                        prop_assert!(wide.iter().all(|&(_, w)| !w));
-                        prop_assert_eq!(m.decode(addr), loc);
-                    }
-                    Err(err) => {
-                        let named: Vec<&str> =
-                            err.offending_fields().iter().map(|f| f.0).collect();
-                        let expected: Vec<&str> = wide
-                            .iter()
-                            .filter(|&&(_, w)| w)
-                            .map(|&(n, _)| n)
-                            .collect();
-                        prop_assert_eq!(named, expected);
-                    }
-                }
-            }
-        }
     }
 }

@@ -97,35 +97,6 @@ pub fn write_trace<'a, I: IntoIterator<Item = &'a TraceRecord>>(records: I) -> S
     out
 }
 
-/// Reads and parses a trace file.
-///
-/// # Errors
-///
-/// I/O errors are wrapped into [`ParseTraceError`] at line 0; parse
-/// errors carry their line number.
-pub fn read_trace_file<P: AsRef<std::path::Path>>(
-    path: P,
-) -> Result<Vec<TraceRecord>, ParseTraceError> {
-    let text = std::fs::read_to_string(path).map_err(|e| ParseTraceError {
-        line: 0,
-        reason: format!("io error: {e}"),
-    })?;
-    parse_trace(&text)
-}
-
-/// Writes records to a trace file.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn write_trace_file<'a, P, I>(path: P, records: I) -> std::io::Result<()>
-where
-    P: AsRef<std::path::Path>,
-    I: IntoIterator<Item = &'a TraceRecord>,
-{
-    std::fs::write(path, write_trace(records))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,25 +138,5 @@ mod tests {
     fn error_display_mentions_line() {
         let err = parse_trace("nope").unwrap_err();
         assert!(err.to_string().contains("line 1"));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let records = vec![
-            TraceRecord::new(7, Op::Write, 3),
-            TraceRecord::new(9, Op::Read, 1),
-        ];
-        let path = std::env::temp_dir().join("vrl_trace_round_trip.trace");
-        write_trace_file(&path, &records).expect("writes");
-        let back = read_trace_file(&path).expect("reads");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn missing_file_is_an_io_parse_error() {
-        let err = read_trace_file("/definitely/not/here.trace").unwrap_err();
-        assert_eq!(err.line, 0);
-        assert!(err.reason.contains("io error"));
     }
 }

@@ -6,16 +6,13 @@
 //! this crate provides the synthetic equivalent:
 //!
 //! * [`record`] — the trace record and operation types,
-//! * [`addr`] — physical-address ↔ (bank, row, column) mapping,
+//! * [`addr`] — the DIMM address map whose field widths the multi-bank
+//!   scheduler steers rows by,
 //! * [`mod@format`] — a row-granular text trace format (parse/write),
-//! * [`ramulator`] — the Ramulator CPU-trace format and its conversion
-//!   to bank-local records,
 //! * [`gen`] — parameterized workload generators, with one preset per
 //!   PARSEC benchmark plus `bgsave`, emulating each benchmark's published
 //!   footprint, locality, read/write mix, and intensity; its gap and
-//!   Zipf-rank samplers are exact table lookups (crate-private `sample`),
-//! * [`stats`] — trace statistics (rows touched, reuse, per-window
-//!   coverage) that determine how much VRL-Access can gain.
+//!   Zipf-rank samplers are exact table lookups (crate-private `sample`).
 //!
 //! # Example
 //!
@@ -33,10 +30,8 @@
 pub mod addr;
 pub mod format;
 pub mod gen;
-pub mod ramulator;
 pub mod record;
 mod sample;
-pub mod stats;
 
 pub use gen::{Workload, WorkloadSpec};
 pub use record::{Op, TraceRecord};

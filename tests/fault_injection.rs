@@ -1,11 +1,12 @@
 //! Fault-injection end-to-end tests: the unguarded policies lose data
 //! under profile staleness, the runtime guard does not — and its
-//! degradation ladder is monotone.
+//! degradation ladder is monotone. A plan that pins VRT rows to their
+//! weak-state retention does not lose data either, at a refresh cost.
 
 use proptest::prelude::*;
 
 use vrl::core::experiment::{Experiment, ExperimentConfig, PolicyKind};
-use vrl::dram::fault::FaultConfig;
+use vrl::dram::fault::{FaultConfig, FaultInjector, VrtFault};
 use vrl::dram::guard::{Guard, GuardConfig};
 use vrl::dram::integrity::LinearPhysics;
 use vrl::dram::policy::{AdaptivePolicy, DegradeAction, RefreshPolicy, Vrl};
@@ -69,6 +70,94 @@ fn guarded_vrl_is_lossless_with_bounded_overhead() {
         "refresh-busy {} exceeds 110% of fault-free {}",
         out.stats.refresh_busy_cycles,
         fault_free.refresh_busy_cycles
+    );
+}
+
+/// A VRT-only scenario: a quarter of the rows toggle, often, to 60 % of
+/// their profiled retention. No profiler optimism, so every row outside
+/// the VRT set keeps exactly its profiled retention.
+fn vrt_only_faults() -> FaultConfig {
+    FaultConfig {
+        seed: 7,
+        vrt: Some(VrtFault {
+            fraction: 0.25,
+            weak_factor: 0.6,
+            toggle_probability: 0.4,
+            step_ms: 64.0,
+        }),
+        ..Default::default()
+    }
+}
+
+/// VRL, like RAIDR, plans on a static profile. Unguarded, a plan built on
+/// the profiled (strong-state) retention loses data once VRT rows
+/// collapse to their weak state.
+#[test]
+fn a_strong_state_plan_loses_data_under_vrt() {
+    let e = experiment();
+    let out = e
+        .run_faulted(PolicyKind::Vrl, "ferret", &vrt_only_faults(), None)
+        .expect("known");
+    assert_eq!(out.faults.optimistic_rows, 0);
+    assert!(
+        out.faults.vrt_toggles > 0,
+        "VRT must toggle: {:?}",
+        out.faults
+    );
+    assert!(
+        out.violations > 0,
+        "a strong-state plan must lose data once cells collapse: {:?}",
+        out.faults
+    );
+}
+
+/// The defensive plan: every row the injector gave a VRT process is
+/// pinned to its weak-state retention before planning. Under the same
+/// injected truth it records no violation, and pays for it in refresh-busy
+/// cycles. The run is assembled as the faulted engine does, but with the
+/// plan decoupled from the profile the injector's truth is built from.
+#[test]
+fn a_weak_state_plan_survives_vrt_at_a_refresh_cost() {
+    let e = experiment();
+    let faults = vrt_only_faults();
+    let weak_factor = faults.vrt.expect("VRT scenario").weak_factor;
+    let profiled = e.profiled_retention();
+    let injector = FaultInjector::new(faults, &profiled, TimingParams::paper_default());
+    let mut pinned = profiled.clone();
+    for row in injector.vrt_rows() {
+        pinned[row as usize] *= weak_factor;
+    }
+    // No refresh bin is shorter than 64 ms, so a weaker state could not
+    // be saved by any plan.
+    assert!(
+        pinned.iter().all(|&t| t >= 64.0),
+        "a weak state under 64 ms"
+    );
+    let plan = e
+        .config()
+        .build_plan(&BankProfile::from_rows(pinned, e.profile().cells_per_row()));
+    let mut checker = e.integrity_checker(injector.true_retention());
+    let mut sim = Simulator::new(SimConfig::with_rows(e.config().rows), plan.vrl());
+    sim.set_fault_injector(injector);
+    let trace = e.trace("ferret").expect("known");
+    let aware = sim.run_observed(trace, e.config().duration_ms, &mut checker);
+    let toggles = sim.fault_injector().expect("injector").stats().vrt_toggles;
+    assert!(toggles > 0, "VRT must toggle");
+    assert_eq!(
+        checker.violations().len(),
+        0,
+        "the weak-state plan lost data"
+    );
+
+    let naive = e
+        .run_faulted(PolicyKind::Vrl, "ferret", &faults, None)
+        .expect("known");
+    assert_eq!(naive.faults.vrt_toggles, toggles, "same injected truth");
+    assert!(
+        aware.refresh_busy_cycles > naive.stats.refresh_busy_cycles,
+        "the weak-state plan must refresh more: {} vs {}",
+        aware.refresh_busy_cycles,
+        naive.stats.refresh_busy_cycles
     );
 }
 
@@ -143,7 +232,6 @@ fn the_same_reckless_row_unguarded_keeps_losing_data() {
 /// land before the shorter period takes hold.)
 #[test]
 fn demoted_rows_stay_safe_under_continued_vrt_toggling() {
-    use vrl::dram::fault::{FaultConfig, FaultInjector, VrtFault};
     let rows = 4;
     let profiled = 300.0; // bin 256 ms; weak state 0.7 × 300 = 210 ms < 256
     let timing = TimingParams::paper_default();
