@@ -199,6 +199,78 @@ fn warm_cache_replays_the_result_without_rebuilding() {
     server.shutdown(true);
 }
 
+/// Pins what a result-cache hit puts on the wire, in the event ring and
+/// in the history ring: the exact frame sequence, the three lifecycle
+/// events back to back, and one snapshot per hit.
+#[test]
+fn result_cache_hits_replay_the_pinned_frames_events_and_history() {
+    let server = start(ServerConfig {
+        workers: 1,
+        span_cycles: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let spec_json =
+        r#"{"benchmark":"swaptions","policy":"vrl-access","rows":128,"duration_ms":48}"#;
+    let hash = spec(spec_json).canonical_hash();
+    let line = submit_line(spec_json);
+    let cold = client.submit_raw(&line).expect("cold submission");
+    let cold_result = cold.last().expect("terminal frame").clone();
+    assert!(
+        cold_result.starts_with("{\"type\":\"result\""),
+        "{cold_result}"
+    );
+
+    for job in [2u64, 3] {
+        // The queued depth counts running jobs too; wait for the cold
+        // job's worker to return so the depth is exactly 1.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.health().queue_depth > 0 {
+            assert!(Instant::now() < deadline, "the pool never went idle");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let deltas_before = server.history_deltas().len();
+        let frames = client.submit_raw(&line).expect("warm submission");
+        assert_eq!(
+            frames,
+            [
+                format!("{{\"type\":\"ack\",\"job\":{job},\"spec_hash\":\"{hash:016x}\"}}"),
+                format!("{{\"type\":\"state\",\"job\":{job},\"state\":\"queued\",\"depth\":1}}"),
+                format!("{{\"type\":\"state\",\"job\":{job},\"state\":\"running\"}}"),
+                format!("{{\"type\":\"state\",\"job\":{job},\"state\":\"done\"}}"),
+                cold_result.clone(),
+            ]
+        );
+
+        let events = server.events();
+        let first = events
+            .iter()
+            .position(|e| e.cycle == job)
+            .expect("the hit's events are recorded");
+        let kinds: Vec<(u64, EventKind)> = events[first..]
+            .iter()
+            .take(3)
+            .map(|e| (e.cycle, e.kind))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (job, EventKind::JobQueued { depth: 1 }),
+                (job, EventKind::JobStarted),
+                (job, EventKind::JobCompleted { cached: true }),
+            ]
+        );
+        assert_eq!(events.iter().filter(|e| e.cycle == job).count(), 3);
+
+        let deltas = server.history_deltas();
+        assert_eq!(deltas.len(), deltas_before + 1, "one snapshot per hit");
+        let delta = &deltas.last().expect("a delta per hit").delta;
+        assert_eq!(delta.counter("serve.jobs.completed"), 1);
+        assert_eq!(delta.counter("serve.cache.result_hits"), 1);
+    }
+    server.shutdown(true);
+}
+
 #[test]
 fn faulted_jobs_replay_the_trace_a_sim_job_cached() {
     let server = start(ServerConfig {
