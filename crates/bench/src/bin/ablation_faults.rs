@@ -48,11 +48,11 @@ fn main() {
     let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
     let rows = vrl_bench::arg_or("--rows", NonZeroU32::new(1024).expect("1024 is non-zero")).get();
     let benchmark = "ferret";
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(vrl_bench::checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
+    }));
     let fault_free = experiment
         .run_policy(PolicyKind::Vrl, benchmark)
         .expect("known benchmark");

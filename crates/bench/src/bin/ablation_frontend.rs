@@ -23,11 +23,11 @@ struct FrontendRow {
 fn main() {
     vrl_bench::section("Ablation — in-order vs FR-FCFS front end (VRL-Access)");
     let duration_ms = vrl_bench::arg_or("--duration-ms", 64.0);
-    let config = ExperimentConfig {
+    let config = vrl_bench::checked(ExperimentConfig {
         rows: 512,
         duration_ms,
         ..Default::default()
-    };
+    });
     let experiment = Experiment::new(config);
     let sim_config = SimConfig::with_rows(config.rows);
 

@@ -22,10 +22,10 @@ struct LocalityRow {
 fn main() {
     vrl_bench::section("Ablation — workload footprint vs VRL-Access gain");
     let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
-    let config = ExperimentConfig {
+    let config = vrl_bench::checked(ExperimentConfig {
         duration_ms,
         ..Default::default()
-    };
+    });
     let experiment = Experiment::new(config);
 
     println!(

@@ -22,11 +22,11 @@ struct PostponeRow {
 fn main() {
     vrl_bench::section("Ablation — demand-first refresh postponement");
     let duration_ms = vrl_bench::arg_or("--duration-ms", 512.0);
-    let config = ExperimentConfig {
+    let config = vrl_bench::checked(ExperimentConfig {
         rows: 4096,
         duration_ms,
         ..Default::default()
-    };
+    });
     let experiment = Experiment::new(config);
     let spec = WorkloadSpec::parsec("canneal").expect("known benchmark");
 

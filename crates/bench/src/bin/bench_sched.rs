@@ -56,11 +56,11 @@ fn main() {
     let banks = vrl_bench::arg_or::<u32>("--banks", 8);
     let duration_ms = vrl_bench::arg_or("--duration-ms", 256.0);
 
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(vrl_bench::checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
+    }));
     let sched = experiment.sched_config(banks).unwrap_or_else(|e| fail(&e));
     println!(
         "benchmark {benchmark}: {banks} banks × {} rows, {duration_ms} ms simulated",

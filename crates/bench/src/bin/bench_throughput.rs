@@ -111,11 +111,11 @@ fn main() {
     let workers = vrl_bench::arg_or("--workers", default_workers).max(1);
     let assert_speedup = std::env::args().any(|a| a == "--assert-speedup");
 
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(vrl_bench::checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
+    }));
     let policies = [PolicyKind::Raidr, PolicyKind::Vrl, PolicyKind::VrlAccess];
     println!(
         "bank: {rows} rows, {duration_ms} ms simulated, {} benchmarks × {} policies",

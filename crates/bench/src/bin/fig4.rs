@@ -25,10 +25,10 @@ struct Fig4 {
 fn main() {
     vrl_bench::section("Figure 4 — refresh performance overhead (normalized to RAIDR)");
     let duration_ms = vrl_bench::arg_or("--duration-ms", 2048.0);
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(vrl_bench::checked(ExperimentConfig {
         duration_ms,
         ..Default::default()
-    });
+    }));
 
     println!(
         "bank: {} rows, {} ms simulated, nbits = {}\n",

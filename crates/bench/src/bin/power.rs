@@ -25,10 +25,10 @@ struct PowerRow {
 fn main() {
     vrl_bench::section("Refresh power vs RAIDR (Section 4.1)");
     let duration_ms = vrl_bench::arg_or("--duration-ms", 1024.0);
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(vrl_bench::checked(ExperimentConfig {
         duration_ms,
         ..Default::default()
-    });
+    }));
     let power = *experiment.power();
 
     println!(

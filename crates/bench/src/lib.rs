@@ -37,6 +37,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use serde::Serialize;
+use vrl_dram::experiment::ExperimentConfig;
 
 /// Version stamp written into every `BENCH_*.json` artifact so
 /// downstream tooling can detect layout changes. Bumped to 2 when the
@@ -145,6 +146,20 @@ pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
             std::process::exit(2);
         }
     }
+}
+
+/// `config` if it is inside the bounds that the daemon and the CLI
+/// check too ([`ExperimentConfig::validated`]); otherwise exits with
+/// status 2 like any other usage error, naming the flag.
+pub fn checked(config: ExperimentConfig) -> ExperimentConfig {
+    config.validated().unwrap_or_else(|e| {
+        eprintln!(
+            "usage error: --{}: {}",
+            e.field.replace('_', "-"),
+            e.message
+        );
+        std::process::exit(2);
+    })
 }
 
 #[cfg(test)]

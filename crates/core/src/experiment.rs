@@ -159,7 +159,83 @@ pub struct Experiment {
     power: Arc<PowerModel>,
 }
 
+/// An [`ExperimentConfig`] field outside the bounds that
+/// [`ExperimentConfig::validated`] enforces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field, named as in the config (`rows`, `nbits`,
+    /// `duration_ms`).
+    pub field: &'static str,
+    /// What is wrong with its value.
+    pub message: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {}", self.field, self.message)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl ExperimentConfig {
+    /// Most rows one bank (or one DIMM's split) may have.
+    pub const MAX_ROWS: u32 = 1 << 24;
+    /// Widest MPRSF counter (Section 3.2); the narrowest is 1 bit.
+    pub const MAX_NBITS: u32 = 8;
+    /// Longest simulated time one run may ask for, in milliseconds.
+    /// Engines have no preemption, so this bounds the trace a run
+    /// generates and how long it holds a worker.
+    pub const MAX_DURATION_MS: f64 = 16_384.0;
+    /// Most simulated work one run may ask for, in rows × milliseconds,
+    /// which bounds its refreshes.
+    pub const MAX_ROW_MS: f64 = (1u64 << 28) as f64;
+
+    /// `self`, if every field is inside the bounds that the daemon's
+    /// spec parser, the CLI and the bench binaries all check: `rows` in
+    /// 1..=[`MAX_ROWS`](Self::MAX_ROWS), `nbits` in
+    /// 1..=[`MAX_NBITS`](Self::MAX_NBITS), and `duration_ms` finite,
+    /// positive, at most [`MAX_DURATION_MS`](Self::MAX_DURATION_MS) and
+    /// at most [`MAX_ROW_MS`](Self::MAX_ROW_MS) / `rows`.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first field out of bounds.
+    pub fn validated(self) -> Result<Self, ConfigError> {
+        let error = |field, message: String| Err(ConfigError { field, message });
+        if !(1..=Self::MAX_ROWS).contains(&self.rows) {
+            return error("rows", format!("must be between 1 and {}", Self::MAX_ROWS));
+        }
+        if !(1..=Self::MAX_NBITS).contains(&self.nbits) {
+            return error(
+                "nbits",
+                format!("must be between 1 and {}", Self::MAX_NBITS),
+            );
+        }
+        let d = self.duration_ms;
+        if !(d > 0.0 && d <= Self::MAX_DURATION_MS) {
+            return error(
+                "duration_ms",
+                format!(
+                    "must be a positive, finite number of at most {} ms",
+                    Self::MAX_DURATION_MS
+                ),
+            );
+        }
+        if f64::from(self.rows) * d > Self::MAX_ROW_MS {
+            return error(
+                "duration_ms",
+                format!(
+                    "must be at most {} ms for {} rows (rows × duration_ms is capped at {})",
+                    Self::MAX_ROW_MS / f64::from(self.rows),
+                    self.rows,
+                    Self::MAX_ROW_MS
+                ),
+            );
+        }
+        Ok(self)
+    }
+
     /// Generates this configuration's retention profile — the expensive
     /// per-`(rows, cells_per_row, seed)` artifact. [`Experiment::new`]
     /// calls this internally; `vrl-serve`'s artifact cache calls it once
@@ -639,6 +715,42 @@ pub(crate) mod tests {
             duration_ms: 512.0,
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn configs_outside_the_shared_bounds_name_the_field() {
+        let with = |rows, nbits, duration_ms| ExperimentConfig {
+            rows,
+            nbits,
+            duration_ms,
+            ..Default::default()
+        };
+        let field = |config: ExperimentConfig| config.validated().err().map(|e| e.field);
+        assert_eq!(field(ExperimentConfig::default()), None);
+        // The largest runs in use: CI's served 16384 × 2048 and the
+        // end-to-end tests' 8192 × 4096.
+        assert_eq!(field(with(16_384, 2, 2048.0)), None);
+        assert_eq!(field(with(8192, 2, 4096.0)), None);
+        assert_eq!(field(with(1, 1, ExperimentConfig::MAX_DURATION_MS)), None);
+        assert_eq!(field(with(ExperimentConfig::MAX_ROWS, 8, 16.0)), None);
+        for (config, blamed) in [
+            (with(0, 2, 64.0), "rows"),
+            (with(ExperimentConfig::MAX_ROWS + 1, 2, 1.0), "rows"),
+            (with(64, 0, 64.0), "nbits"),
+            (with(64, 9, 64.0), "nbits"),
+            (with(64, 2, 0.0), "duration_ms"),
+            (with(64, 2, -5.0), "duration_ms"),
+            (with(64, 2, f64::NAN), "duration_ms"),
+            (with(64, 2, f64::INFINITY), "duration_ms"),
+            (with(64, 2, 1e12), "duration_ms"),
+            (
+                with(64, 2, ExperimentConfig::MAX_DURATION_MS * 2.0),
+                "duration_ms",
+            ),
+            (with(1 << 20, 2, 512.0), "duration_ms"),
+        ] {
+            assert_eq!(field(config), Some(blamed), "{config:?}");
+        }
     }
 
     /// An unsegmented, unobserved run of `kind` on `engine`.

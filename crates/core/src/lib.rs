@@ -64,7 +64,8 @@ pub use checkpoint::{resume, CheckpointConfig, CheckpointOutcome, ResumeReport};
 pub use engine::{Engine, Outcome};
 pub use error::Error;
 pub use experiment::{
-    ComparisonRow, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell, PolicyKind,
+    ComparisonRow, ConfigError, Experiment, ExperimentConfig, FaultedOutcome, MatrixCell,
+    PolicyKind,
 };
 pub use mprsf::{Mprsf, MprsfCalculator};
 pub use plan::RefreshPlan;

@@ -82,7 +82,9 @@ pub enum EventKind {
         /// Queue depth (queued + running) right after the enqueue.
         depth: u32,
     },
-    /// A served job started executing on a pool worker.
+    /// A served job started executing on a pool worker, or a
+    /// result-cache hit started being answered on its connection
+    /// thread.
     JobStarted,
     /// A served job finished and its result frame was delivered.
     JobCompleted {

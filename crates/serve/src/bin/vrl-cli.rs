@@ -80,13 +80,10 @@ use vrl_circuit::trfc::{CycleBudget, RefreshKind};
 use vrl_dram::checkpoint::{CheckpointConfig, CheckpointOutcome};
 use vrl_dram::experiment::{sched_metrics, sim_metrics, Experiment, ExperimentConfig, PolicyKind};
 use vrl_dram::mprsf::{Mprsf, MprsfCalculator};
-use vrl_dram::plan::RefreshPlan;
 use vrl_dram::{Engine, Outcome};
 use vrl_dram_sim::sim::NullObserver;
 use vrl_obs::{chrome_trace_json, validate_chrome_trace, EventStream, MetricsSnapshot, Recorder};
 use vrl_retention::binning::RefreshBin;
-use vrl_retention::distribution::RetentionDistribution;
-use vrl_retention::profile::BankProfile;
 use vrl_serve::args::{
     flag_parse, flag_present, flag_require, flag_value, reject_unknown_flags, UsageError,
 };
@@ -107,6 +104,32 @@ const DEFAULT_ROWS: NonZeroU32 = NonZeroU32::new(8192).expect("8192 is non-zero"
 /// is a usage error like any other unparsable value.
 fn rows_flag(args: &[String]) -> Result<u32, UsageError> {
     Ok(flag_parse(args, "--rows", DEFAULT_ROWS)?.get())
+}
+
+/// `config` if it is inside the bounds that the daemon and the bench
+/// binaries check too ([`ExperimentConfig::validated`]); otherwise a
+/// usage error naming the flag.
+fn checked(config: ExperimentConfig) -> Result<ExperimentConfig, UsageError> {
+    config
+        .validated()
+        .map_err(|e| UsageError::new(format!("--{} {}", e.field.replace('_', "-"), e.message)))
+}
+
+/// The scheduler geometry of `--channels`, `--ranks` and `--banks` over
+/// `--rows`. A split the address map cannot decode is a bad invocation,
+/// so it is a usage error like an out-of-bounds value.
+fn geometry(
+    experiment: &Experiment,
+    channels: u32,
+    ranks: u32,
+    banks: u32,
+) -> Result<vrl_sched::SchedConfig, UsageError> {
+    experiment
+        .dimm_config(channels, ranks, banks)
+        .map_err(|e| match e {
+            vrl_dram::Error::Sim(reason) => UsageError::new(reason.to_string()),
+            other => UsageError::new(other.to_string()),
+        })
 }
 
 fn write_metrics(path: &str, snapshot: &MetricsSnapshot) -> bool {
@@ -349,10 +372,14 @@ fn cmd_plan(args: &[String]) -> CmdResult {
     let rows = rows_flag(args)?;
     let seed: u64 = flag_parse(args, "--seed", 42)?;
     let nbits: u32 = flag_parse(args, "--nbits", 2)?;
-    let model = AnalyticalModel::new(Technology::n90());
-    let profile =
-        BankProfile::generate(&RetentionDistribution::liu_et_al(), rows as usize, 32, seed);
-    let plan = RefreshPlan::build(&model, &profile, nbits, 0.0);
+    let config = checked(ExperimentConfig {
+        rows,
+        seed,
+        nbits,
+        ..Default::default()
+    })?;
+    let profile = config.build_profile();
+    let plan = config.build_plan(&profile);
     println!("bank: {rows} rows, seed {seed}, nbits {nbits}");
     for bin in RefreshBin::ALL {
         println!("  {bin}: {} rows", plan.bins().count(bin));
@@ -409,11 +436,11 @@ fn cmd_simulate(args: &[String]) -> CmdResult {
     let rows = rows_flag(args)?;
     let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
     let kinds = policy_flag(args, "all")?;
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
+    })?);
     let ckpt = fresh_checkpoint(args, &kinds)?;
     for kind in kinds {
         let ckpt = ckpt.as_ref();
@@ -446,11 +473,11 @@ fn cmd_compare(args: &[String]) -> CmdResult {
     )?;
     let rows = rows_flag(args)?;
     let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
+    })?);
     // --threads beats VRL_THREADS beats available parallelism.
     let exec = match flag_value(args, "--threads")? {
         Some(raw) => match raw.parse::<usize>() {
@@ -554,18 +581,12 @@ fn cmd_sched(args: &[String]) -> CmdResult {
     let duration_ms: f64 = flag_parse(args, "--duration-ms", 512.0)?;
     let parallel = !flag_present(args, "--no-parallel");
     let kinds = policy_flag(args, "all")?;
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
-    let sched = match experiment.dimm_config(channels, ranks, banks) {
-        Ok(cfg) => cfg.with_parallelism(parallel),
-        Err(err) => {
-            eprintln!("{err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    })?);
+    let sched = geometry(&experiment, channels, ranks, banks)?.with_parallelism(parallel);
     println!(
         "dimm: {channels} channels × {ranks} ranks × {banks} banks × {} rows, \
          {duration_ms} ms simulated, refresh parallelization {}",
@@ -697,18 +718,12 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         ));
     };
     let out = flag_value(args, "--out")?.unwrap_or_else(|| "trace.json".to_owned());
-    let experiment = Experiment::new(ExperimentConfig {
+    let experiment = Experiment::new(checked(ExperimentConfig {
         rows,
         duration_ms,
         ..Default::default()
-    });
-    let engine = match experiment.dimm_config(channels, ranks, banks) {
-        Ok(cfg) => Engine::Sched(cfg),
-        Err(err) => {
-            eprintln!("{err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    })?);
+    let engine = Engine::Sched(geometry(&experiment, channels, ranks, banks)?);
     let ckpt = checkpoint_flags(args)?;
     let (stats, stream) = match run_fresh(
         "trace",

@@ -176,6 +176,25 @@ impl<T> Shard<T> {
 }
 
 impl<T: Clone + CacheCost> Shard<T> {
+    /// The value for `key`, if resident: counted as a hit and as a use
+    /// for LRU purposes, exactly as a resident key in
+    /// [`Shard::try_get_or_build`] is. A miss counts nothing and builds
+    /// nothing.
+    pub fn get(&self, key: u64) -> Option<T> {
+        self.hit(&mut self.lock(), key)
+    }
+
+    /// Advances the access clock and, when `key` is resident, stamps
+    /// its use and counts the hit.
+    fn hit(&self, inner: &mut ShardInner<T>, key: u64) -> Option<T> {
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.ready.get_mut(&key)?;
+        entry.last_use = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.value.clone())
+    }
+
     /// Returns the cached value for `key`, building (and caching) it
     /// with `build` on first use. Concurrent callers with the same key
     /// serialize on the key's build gate, so `build` runs exactly once
@@ -195,12 +214,7 @@ impl<T: Clone + CacheCost> Shard<T> {
         // Fast path: resident entry.
         let gate = {
             let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.ready.get_mut(&key) {
-                entry.last_use = tick;
-                let value = entry.value.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            if let Some(value) = self.hit(&mut inner, key) {
                 return Ok(value);
             }
             Arc::clone(inner.building.entry(key).or_default())
@@ -212,16 +226,8 @@ impl<T: Clone + CacheCost> Shard<T> {
 
         // A builder ahead of us may have filled the slot while we
         // waited on the gate.
-        {
-            let mut inner = self.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.ready.get_mut(&key) {
-                entry.last_use = tick;
-                let value = entry.value.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(value);
-            }
+        if let Some(value) = self.get(key) {
+            return Ok(value);
         }
 
         let value = match build() {
@@ -517,6 +523,23 @@ mod tests {
         assert!(rebuilt);
         assert_eq!(shard.misses(), 4);
         assert!(shard.occupied_bytes() <= 100);
+    }
+
+    #[test]
+    fn get_counts_a_hit_and_a_use_like_the_build_path() {
+        let shard: Shard<Arc<String>> = Shard::bounded(100);
+        let value = |tag: u8| Arc::new(String::from_utf8(vec![tag; 40]).unwrap());
+        assert!(shard.get(1).is_none(), "nothing resident yet");
+        assert_eq!((shard.hits(), shard.misses()), (0, 0));
+        shard.get_or_build(1, || value(b'a'));
+        shard.get_or_build(2, || value(b'b'));
+
+        // `get` touches key 1, so key 2 is the LRU victim.
+        assert_eq!(shard.get(1).as_deref().map(String::len), Some(40));
+        assert_eq!(shard.hits(), 1);
+        shard.get_or_build(3, || value(b'c'));
+        assert!(shard.peek(1).is_some(), "the entry `get` touched survives");
+        assert!(shard.peek(2).is_none(), "LRU entry was evicted");
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! frame byte-identically.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::protocol::{self, is_terminal};
-use crate::wire::{LineOutcome, LineReader};
+use crate::wire::{self, LineOutcome, LineReader};
 
 /// Frames larger than this are a protocol violation, not data.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -157,8 +157,7 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        wire::write_frames(&mut self.writer, &[line])?;
         Ok(())
     }
 

@@ -2,9 +2,14 @@
 //!
 //! One thread accepts connections; each connection gets a handler
 //! thread that parses request lines and forwards response frames. Jobs
-//! run on a shared [`TaskPool`] — the connection thread never simulates
+//! run on a shared [`TaskPool`]: the connection thread never simulates
 //! anything itself; it enqueues a closure and relays the frames the
-//! worker sends back over an in-process channel. Everything observable
+//! worker sends back over an in-process channel, writing every frame
+//! already waiting in one go. A spec whose result frame is resident in
+//! the memory result cache is the exception: the connection thread
+//! answers it itself, with the same frames and lifecycle events a
+//! worker would produce, in one write. Such a hit can therefore finish
+//! before cold jobs queued earlier. Everything observable
 //! (`serve.*` metrics, job lifecycle events, the artifact cache) hangs
 //! off one `ServerInner` shared by every thread.
 //!
@@ -20,7 +25,7 @@
 //! it guards are consistent at every panic point).
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,14 +41,14 @@ use vrl_obs::{
     SnapshotRing,
 };
 
-use crate::cache::{ArtifactCache, CacheLimits};
+use crate::cache::{ArtifactCache, CacheLimits, Shard};
 use crate::disk::{DiskLoad, DiskTier};
 use crate::limits::ServeLimits;
 use crate::protocol::{self, HealthReport, MetricsFormat, Request};
 use crate::runner;
 use crate::spec::JobSpec;
 use crate::subs::{SubNext, SubscriberQueue};
-use crate::wire::{LineOutcome, LineReader};
+use crate::wire::{self, LineOutcome, LineReader};
 use crate::{manifest, protocol::is_terminal};
 
 /// `row` value for job lifecycle events — jobs have no DRAM row.
@@ -96,6 +101,12 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Writes one frame (see [`wire::write_frames`]); false once the peer
+/// is gone.
+fn write_frame(writer: &mut TcpStream, frame: &str) -> bool {
+    wire::write_frames(writer, &[frame]).is_ok()
+}
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -146,9 +157,58 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-phase latency histograms, guarded by one mutex: workers observe
-/// into them after each job; `metrics()` merges their snapshot into the
-/// assembled registry.
+/// `serve.cache.*` counter names per shard, in [`shard_levels`] order.
+const SHARD_COUNTERS: [[&str; 3]; 4] = [
+    [
+        "serve.cache.profile_hits",
+        "serve.cache.profile_misses",
+        "serve.cache.profile_evictions",
+    ],
+    [
+        "serve.cache.plan_hits",
+        "serve.cache.plan_misses",
+        "serve.cache.plan_evictions",
+    ],
+    [
+        "serve.cache.trace_hits",
+        "serve.cache.trace_misses",
+        "serve.cache.trace_evictions",
+    ],
+    [
+        "serve.cache.result_hits",
+        "serve.cache.result_misses",
+        "serve.cache.result_evictions",
+    ],
+];
+
+/// `serve.cache.*` gauge names per shard, in [`shard_levels`] order.
+const SHARD_GAUGES: [[&str; 2]; 4] = [
+    [
+        "serve.cache.profile_bytes",
+        "serve.cache.profile_capacity_bytes",
+    ],
+    ["serve.cache.plan_bytes", "serve.cache.plan_capacity_bytes"],
+    [
+        "serve.cache.trace_bytes",
+        "serve.cache.trace_capacity_bytes",
+    ],
+    [
+        "serve.cache.result_bytes",
+        "serve.cache.result_capacity_bytes",
+    ],
+];
+
+/// One shard's (hits, misses, evictions) and (occupied, capacity) bytes.
+fn shard_levels<T>(shard: &Shard<T>) -> ([u64; 3], [u64; 2]) {
+    (
+        [shard.hits(), shard.misses(), shard.evictions()],
+        [shard.occupied_bytes(), shard.capacity_bytes()],
+    )
+}
+
+/// Per-phase latency histograms, guarded by one mutex: every finished
+/// job observes into them; `metrics()` copies their snapshot into the
+/// assembled one.
 #[derive(Debug)]
 struct PhaseHists {
     reg: MetricsRegistry,
@@ -400,28 +460,46 @@ impl ServerInner {
                 }
                 Ok(Arc::new(frame))
             });
-        // All telemetry bookkeeping lands BEFORE the terminal frame is
-        // sent: the moment a client sees its result, counters, phase
-        // histograms, and the history ring already reflect the job —
-        // the ordering the exposition tests and CI smoke rely on.
-        let terminal = match result {
+        self.finish_job(
+            job,
+            queue_wait,
+            &profiler,
+            result.as_ref().ok().map(|_| !built_here),
+        );
+        match result {
             Ok(frame) => {
-                self.push_event(
-                    job,
-                    EventKind::JobCompleted {
-                        cached: !built_here,
-                    },
-                );
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                Ok(frame)
+                send(protocol::state_frame(job, "done"));
+                send((*frame).clone());
             }
-            Err(e) => {
+            Err(e) => send(protocol::error_frame(&format!("job {job} failed: {e}"))),
+        }
+    }
+
+    /// Completion bookkeeping for every job, whether a worker ran it or
+    /// the connection thread answered it from the result cache:
+    /// `cached` is `Some(from_cache)` for a result, `None` for a failed
+    /// job. It all lands BEFORE the terminal frame is sent: the moment a
+    /// client sees its result, counters, phase histograms, and the
+    /// history ring already reflect the job — the ordering the
+    /// exposition tests and CI smoke rely on.
+    fn finish_job(
+        &self,
+        job: u64,
+        queue_wait: Option<Duration>,
+        profiler: &PhaseProfiler,
+        cached: Option<bool>,
+    ) {
+        match cached {
+            Some(cached) => {
+                self.push_event(job, EventKind::JobCompleted { cached });
+                self.completed.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {
                 self.push_event(job, EventKind::JobQuarantined);
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
-                Err(e)
             }
-        };
-        self.observe_phases(queue_wait, &profiler);
+        }
+        self.observe_phases(queue_wait, profiler);
         // Success or deterministic failure: either way the job must not
         // be re-run by a restarted server. Only a panic (which skips
         // this line) leaves the spec pending for the manifest.
@@ -430,13 +508,68 @@ impl ServerInner {
         // so the `history` replay is deterministic even with the
         // background sampler disabled.
         self.record_snapshot();
-        match terminal {
-            Ok(frame) => {
-                send(protocol::state_frame(job, "done"));
-                send((*frame).clone());
+    }
+
+    /// Answers a memory result-cache hit on the connection thread: the
+    /// same job id, events, bookkeeping and frames as the worker path,
+    /// without the pool hop, and all five frames in one write. The job
+    /// never waits in the queue, so it is never pending and its queue
+    /// wait is zero. Returns whether the write succeeded.
+    fn answer_hit(&self, writer: &mut TcpStream, hash: u64, result: &str) -> bool {
+        let job = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
+        let depth = self.pool.queue_depth() as u32 + 1;
+        self.push_event(job, EventKind::JobQueued { depth });
+        self.push_event(job, EventKind::JobStarted);
+        self.finish_job(job, Some(Duration::ZERO), &PhaseProfiler::new(), Some(true));
+        wire::write_frames(
+            writer,
+            &[
+                protocol::ack_frame(job, hash).as_str(),
+                &protocol::queued_frame(job, depth),
+                &protocol::state_frame(job, "running"),
+                &protocol::state_frame(job, "done"),
+                result,
+            ],
+        )
+        .is_ok()
+    }
+
+    /// Runs `spec` on the pool and relays its frames: the ack goes out
+    /// with every frame already waiting (the queued frame at least), and
+    /// after each blocking receive the frames that arrived meanwhile
+    /// share the next write. Returns whether the connection is still
+    /// usable.
+    fn relay_job(self: &Arc<Self>, writer: &mut TcpStream, spec: JobSpec, hash: u64) -> bool {
+        let (tx, rx) = mpsc::channel();
+        let job = self.enqueue(spec, Some(tx));
+        let mut batch = vec![protocol::ack_frame(job, hash)];
+        loop {
+            batch.extend(rx.try_iter());
+            // A worker sends nothing after the terminal frame.
+            let terminated = batch.last().is_some_and(|f| is_terminal(f));
+            if wire::write_frames(writer, &batch).is_err() {
+                return false;
             }
-            Err(e) => send(protocol::error_frame(&format!("job {job} failed: {e}"))),
+            if terminated {
+                return true;
+            }
+            batch.clear();
+            match rx.recv() {
+                Ok(frame) => batch.push(frame),
+                Err(_) => break,
+            }
         }
+        // The worker dropped the channel without a terminal frame: it
+        // panicked mid-job. The spec is still pending, so a restart
+        // resumes it.
+        self.push_event(job, EventKind::JobQuarantined);
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        write_frame(
+            writer,
+            &protocol::error_frame(&format!(
+                "job {job} was lost to a worker panic; it will be resumed on restart"
+            )),
+        )
     }
 
     /// Stops intake and settles the queue. `drain`: finish everything,
@@ -491,138 +624,76 @@ impl ServerInner {
         jobs.len()
     }
 
-    /// Current metrics, assembled from the live counters.
+    /// Current metrics, assembled from the live counters. It runs once
+    /// per job, so it fills the snapshot's maps directly from static
+    /// names.
     fn metrics(&self) -> MetricsSnapshot {
-        let mut reg = MetricsRegistry::new();
-        let counter = |reg: &mut MetricsRegistry, name: &str, value: u64| {
-            let id = reg.counter(name);
-            reg.add(id, value);
-        };
-        let gauge = |reg: &mut MetricsRegistry, name: &str, value: u64| {
-            let id = reg.gauge(name);
-            reg.set(id, value);
-        };
-        for (name, shard_hits, shard_misses, shard_evictions, shard_bytes, shard_capacity) in [
-            (
-                "profile",
-                self.cache.profiles.hits(),
-                self.cache.profiles.misses(),
-                self.cache.profiles.evictions(),
-                self.cache.profiles.occupied_bytes(),
-                self.cache.profiles.capacity_bytes(),
-            ),
-            (
-                "plan",
-                self.cache.plans.hits(),
-                self.cache.plans.misses(),
-                self.cache.plans.evictions(),
-                self.cache.plans.occupied_bytes(),
-                self.cache.plans.capacity_bytes(),
-            ),
-            (
-                "trace",
-                self.cache.traces.hits(),
-                self.cache.traces.misses(),
-                self.cache.traces.evictions(),
-                self.cache.traces.occupied_bytes(),
-                self.cache.traces.capacity_bytes(),
-            ),
-            (
-                "result",
-                self.cache.results.hits(),
-                self.cache.results.misses(),
-                self.cache.results.evictions(),
-                self.cache.results.occupied_bytes(),
-                self.cache.results.capacity_bytes(),
-            ),
-        ] {
-            counter(&mut reg, &format!("serve.cache.{name}_hits"), shard_hits);
-            counter(
-                &mut reg,
-                &format!("serve.cache.{name}_misses"),
-                shard_misses,
-            );
-            counter(
-                &mut reg,
-                &format!("serve.cache.{name}_evictions"),
-                shard_evictions,
-            );
-            gauge(&mut reg, &format!("serve.cache.{name}_bytes"), shard_bytes);
-            gauge(
-                &mut reg,
-                &format!("serve.cache.{name}_capacity_bytes"),
-                shard_capacity,
-            );
+        let mut counters = BTreeMap::new();
+        let mut gauges = BTreeMap::new();
+        let cache = &self.cache;
+        let shards = [
+            shard_levels(&cache.profiles),
+            shard_levels(&cache.plans),
+            shard_levels(&cache.traces),
+            shard_levels(&cache.results),
+        ];
+        for ((counter_names, gauge_names), (counts, levels)) in
+            SHARD_COUNTERS.iter().zip(&SHARD_GAUGES).zip(shards)
+        {
+            counters.extend(counter_names.map(String::from).into_iter().zip(counts));
+            gauges.extend(gauge_names.map(String::from).into_iter().zip(levels));
         }
+        let mut counter = |name: &str, value: u64| {
+            counters.insert(name.to_owned(), value);
+        };
         if let Some(disk) = &self.disk {
-            counter(&mut reg, "serve.cache.disk_stores", disk.stores());
-            counter(&mut reg, "serve.cache.disk_hits", disk.hits());
-            counter(&mut reg, "serve.cache.quarantined", disk.quarantined());
+            counter("serve.cache.disk_stores", disk.stores());
+            counter("serve.cache.disk_hits", disk.hits());
+            counter("serve.cache.quarantined", disk.quarantined());
         }
-        counter(
-            &mut reg,
-            "serve.jobs.completed",
-            self.completed.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut reg,
-            "serve.jobs.quarantined",
-            self.quarantined.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut reg,
-            "serve.shed.connections",
-            self.shed_conns.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut reg,
-            "serve.shed.jobs",
-            self.shed_jobs.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut reg,
-            "serve.shed.line_too_long",
-            self.shed_long_lines.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut reg,
-            "serve.shed.timeout",
-            self.shed_timeouts.load(Ordering::Relaxed),
-        );
-        let depth = reg.gauge("serve.queue.depth");
-        reg.set(depth, self.pool.queue_depth() as u64);
+        for (name, value) in [
+            ("serve.jobs.completed", &self.completed),
+            ("serve.jobs.quarantined", &self.quarantined),
+            ("serve.shed.connections", &self.shed_conns),
+            ("serve.shed.jobs", &self.shed_jobs),
+            ("serve.shed.line_too_long", &self.shed_long_lines),
+            ("serve.shed.timeout", &self.shed_timeouts),
+        ] {
+            counter(name, value.load(Ordering::Relaxed));
+        }
+        let mut gauge = |name: &str, value: u64| {
+            gauges.insert(name.to_owned(), value);
+        };
+        gauge("serve.queue.depth", self.pool.queue_depth() as u64);
         gauge(
-            &mut reg,
             "serve.conns.open",
             self.open_conns.load(Ordering::Relaxed) as u64,
         );
         {
             let ring = lock_recover(&self.ring);
-            counter(&mut reg, "serve.events.dropped", ring.dropped());
-            counter(&mut reg, "serve.events.offered", ring.offered());
-            gauge(&mut reg, "serve.events.capacity", ring.capacity() as u64);
+            counter("serve.events.dropped", ring.dropped());
+            counter("serve.events.offered", ring.offered());
+            gauge("serve.events.capacity", ring.capacity() as u64);
         }
         {
             let subs = lock_recover(&self.subscribers);
-            gauge(&mut reg, "serve.subs.open", subs.len() as u64);
+            gauge("serve.subs.open", subs.len() as u64);
             let live_drops: u64 = subs.iter().map(|s| s.dropped()).sum();
             counter(
-                &mut reg,
                 "serve.subs.dropped",
                 self.subs_dropped_retired.load(Ordering::Relaxed) + live_drops,
             );
         }
         {
             let snaps = lock_recover(&self.snapshots);
-            gauge(&mut reg, "serve.history.entries", snaps.len() as u64);
-            counter(&mut reg, "serve.history.evicted", snaps.evicted());
+            gauge("serve.history.entries", snaps.len() as u64);
+            counter("serve.history.evicted", snaps.evicted());
         }
-        let mut snapshot = reg.snapshot();
-        let phases = lock_recover(&self.phase).reg.snapshot();
-        snapshot
-            .merge(&phases)
-            .expect("phase histogram names never collide with assembled metrics");
-        snapshot
+        MetricsSnapshot {
+            counters,
+            gauges,
+            histograms: lock_recover(&self.phase).reg.snapshot().histograms,
+        }
     }
 
     /// The health report behind the `health` frame. Readiness is a pure
@@ -665,12 +736,6 @@ impl ServerInner {
         }
         let mut reader = LineReader::new(read_half, self.limits.max_line_bytes);
         let mut writer = stream;
-        fn write_frame(writer: &mut TcpStream, frame: &str) -> bool {
-            writer
-                .write_all(frame.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .is_ok()
-        }
         loop {
             let line = match reader.next_line() {
                 LineOutcome::Line(line) => line,
@@ -853,37 +918,14 @@ impl ServerInner {
                         }
                         continue;
                     }
+                    // Disk-tier hits and misses take the pool.
                     let hash = spec.canonical_hash();
-                    let (tx, rx) = mpsc::channel();
-                    let job = self.enqueue(spec, Some(tx));
-                    if !write_frame(&mut writer, &protocol::ack_frame(job, hash)) {
+                    let ok = match self.cache.results.get(hash) {
+                        Some(result) => self.answer_hit(&mut writer, hash, &result),
+                        None => self.relay_job(&mut writer, spec, hash),
+                    };
+                    if !ok {
                         break;
-                    }
-                    let mut terminated = false;
-                    while let Ok(frame) = rx.recv() {
-                        let terminal = is_terminal(&frame);
-                        if !write_frame(&mut writer, &frame) {
-                            return;
-                        }
-                        if terminal {
-                            terminated = true;
-                            break;
-                        }
-                    }
-                    if !terminated {
-                        // The worker dropped the channel without a
-                        // terminal frame: it panicked mid-job. The spec
-                        // is still pending, so a restart resumes it.
-                        self.push_event(job, EventKind::JobQuarantined);
-                        self.quarantined.fetch_add(1, Ordering::Relaxed);
-                        if !write_frame(
-                            &mut writer,
-                            &protocol::error_frame(&format!(
-                            "job {job} was lost to a worker panic; it will be resumed on restart"
-                        )),
-                        ) {
-                            break;
-                        }
                     }
                 }
             }
@@ -1012,9 +1054,7 @@ impl Server {
                             ShedReason::Busy,
                             &format!("connection limit reached ({open} open)"),
                         );
-                        let _ = stream
-                            .write_all(frame.as_bytes())
-                            .and_then(|()| stream.write_all(b"\n"));
+                        write_frame(&mut stream, &frame);
                         continue;
                     }
                     accept_inner.open_conns.fetch_add(1, Ordering::SeqCst);

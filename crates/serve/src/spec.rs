@@ -252,9 +252,12 @@ pub fn parse_spec(value: &JsonValue) -> Result<JobSpec, SpecError> {
         }
     };
 
+    // `rows`, `nbits` and `duration_ms` are range-checked once, by
+    // `ExperimentConfig::validated`, which the CLI and the bench
+    // binaries share.
     let defaults = ExperimentConfig::default();
     let config = ExperimentConfig {
-        rows: opt_uint(value, "rows", u64::from(defaults.rows), 1, 1 << 24)? as u32,
+        rows: opt_u32(value, "rows", defaults.rows)?,
         cells_per_row: opt_uint(
             value,
             "cells_per_row",
@@ -263,10 +266,12 @@ pub fn parse_spec(value: &JsonValue) -> Result<JobSpec, SpecError> {
             1 << 16,
         )? as u32,
         seed: opt_uint(value, "seed", defaults.seed, 0, u64::MAX)?,
-        duration_ms: opt_duration(value, "duration_ms", defaults.duration_ms)?,
-        nbits: opt_uint(value, "nbits", u64::from(defaults.nbits), 1, 8)? as u32,
+        duration_ms: opt_number(value, "duration_ms", defaults.duration_ms)?,
+        nbits: opt_u32(value, "nbits", defaults.nbits)?,
         guard_band: opt_fraction(value, "guard_band", defaults.guard_band)?,
-    };
+    }
+    .validated()
+    .map_err(|e| SpecError::new(e.field, e.message))?;
 
     let front_name = match value.get("front_end") {
         None => "sim".to_owned(),
@@ -425,13 +430,17 @@ fn opt_uint(
     Ok(v)
 }
 
-fn opt_duration(value: &JsonValue, field: &str, default: f64) -> Result<f64, SpecError> {
+/// An optional unsigned integer whose range `ExperimentConfig::validated`
+/// checks; values past `u32::MAX` saturate so that check rejects them.
+fn opt_u32(value: &JsonValue, field: &str, default: u32) -> Result<u32, SpecError> {
+    let v = opt_uint(value, field, u64::from(default), 0, u64::MAX)?;
+    Ok(u32::try_from(v).unwrap_or(u32::MAX))
+}
+
+fn opt_number(value: &JsonValue, field: &str, default: f64) -> Result<f64, SpecError> {
     match value.get(field) {
         None => Ok(default),
-        Some(JsonValue::Number(n)) if n.is_finite() && *n > 0.0 => Ok(*n),
-        Some(JsonValue::Number(_)) => {
-            Err(SpecError::new(field, "must be a positive, finite number"))
-        }
+        Some(JsonValue::Number(n)) => Ok(*n),
         Some(_) => Err(SpecError::new(field, "must be a number")),
     }
 }
@@ -513,6 +522,20 @@ mod tests {
             (
                 r#"{"benchmark":"x264","policy":"vrl","duration_ms":-1}"#,
                 "duration_ms",
+            ),
+            (
+                r#"{"benchmark":"x264","policy":"vrl","duration_ms":1e12}"#,
+                "duration_ms",
+            ),
+            (
+                r#"{"benchmark":"x264","policy":"vrl","rows":16777216}"#,
+                "duration_ms",
+            ),
+            (r#"{"benchmark":"x264","policy":"vrl","nbits":0}"#, "nbits"),
+            (r#"{"benchmark":"x264","policy":"vrl","nbits":9}"#, "nbits"),
+            (
+                r#"{"benchmark":"x264","policy":"vrl","nbits":4294967297}"#,
+                "nbits",
             ),
             (
                 r#"{"benchmark":"x264","policy":"vrl","guard_band":1.5}"#,

@@ -12,10 +12,13 @@
 //! across pool sizes, its `--metrics` file, and a `--manifest` sweep
 //! plus its re-run with the manifest's bytes), with the hashes recorded
 //! before the sweep entry points were unified. `--rows 0` must be a
-//! usage error (exit code 2) on every command that takes it.
+//! usage error (exit code 2) on every command that takes it, and edge
+//! values of `--rows`, `--nbits` and `--duration-ms` must either run or
+//! be refused as usage errors, never panic or run without end.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -277,5 +280,57 @@ fn zero_rows_is_a_usage_error() {
             stderr.starts_with("usage error: --rows got an invalid value \"0\""),
             "`vrl {args}` stderr: {stderr}"
         );
+    }
+}
+
+/// Values at and past the edges of every bounded numeric flag.
+const EDGE_VALUES: [&str; 7] = ["0", "-1", "2.5", "nan", "inf", "1e300", "99"];
+
+#[test]
+fn edge_values_run_or_are_usage_errors_never_a_panic() {
+    const LIMIT: Duration = Duration::from_secs(120);
+    let w = WorkDir::new("edges");
+    // (command, flag under test, small companions so accepted values
+    // finish quickly; one bank so any row count splits evenly).
+    let cases = [
+        ("plan", "--rows", ""),
+        ("plan", "--nbits", "--rows 64"),
+        ("simulate ferret", "--rows", "--duration-ms 2"),
+        ("simulate ferret", "--duration-ms", "--rows 64"),
+        ("compare", "--rows", "--duration-ms 2"),
+        ("compare", "--duration-ms", "--rows 64"),
+        ("sched ferret", "--rows", "--banks 1 --duration-ms 2"),
+        ("sched ferret", "--duration-ms", "--rows 64"),
+        ("trace ferret", "--rows", "--banks 1 --duration-ms 2"),
+        ("trace ferret", "--duration-ms", "--rows 64"),
+    ];
+    for (command, flag, rest) in cases {
+        for value in EDGE_VALUES {
+            let args = format!("{command} {flag} {value} {rest}");
+            let mut child = Command::new(env!("CARGO_BIN_EXE_vrl-cli"))
+                .args(args.split_whitespace())
+                .current_dir(&w.0)
+                .env_remove("VRL_THREADS")
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("spawn vrl-cli");
+            let started = Instant::now();
+            let status = loop {
+                if let Some(status) = child.try_wait().expect("wait for vrl-cli") {
+                    break status;
+                }
+                if started.elapsed() > LIMIT {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    panic!("`vrl {args}` still running after {LIMIT:?}");
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            assert!(
+                matches!(status.code(), Some(0 | 2)),
+                "`vrl {args}` exited with {status}"
+            );
+        }
     }
 }

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use vrl_dram::experiment::ExperimentConfig;
 use vrl_serve::protocol::parse_request;
 use vrl_serve::spec::parse_spec;
 
@@ -107,6 +108,43 @@ proptest! {
                 message.contains(blamed),
                 "rejection must blame {}: {}", blamed, message
             ),
+        }
+    }
+
+    #[test]
+    fn simulated_work_is_bounded(
+        rows in 1u32..=ExperimentConfig::MAX_ROWS,
+        mantissa in 0.0f64..10.0,
+        exponent in -3i32..14,
+        nbits in 0u32..12,
+    ) {
+        // No spec that parses asks for more simulated time or more
+        // rows × milliseconds than the shared bound allows, since an
+        // engine cannot be preempted once it holds a worker; every spec
+        // over the bound is rejected, naming the field.
+        let duration_ms = mantissa * 10f64.powi(exponent);
+        let line = format!(
+            "{{\"benchmark\":\"x264\",\"policy\":\"vrl\",\"rows\":{rows},\"duration_ms\":{duration_ms:e},\"nbits\":{nbits}}}"
+        );
+        let value = vrl_obs::json::parse(&line).expect("valid JSON");
+        let in_time = duration_ms > 0.0
+            && duration_ms <= ExperimentConfig::MAX_DURATION_MS
+            && f64::from(rows) * duration_ms <= ExperimentConfig::MAX_ROW_MS;
+        let in_width = (1..=ExperimentConfig::MAX_NBITS).contains(&nbits);
+        match parse_spec(&value) {
+            Ok(spec) => {
+                prop_assert!(in_time && in_width, "accepted {}", line);
+                let config = spec.config;
+                prop_assert!(config.duration_ms <= ExperimentConfig::MAX_DURATION_MS);
+                prop_assert!(
+                    f64::from(config.rows) * config.duration_ms <= ExperimentConfig::MAX_ROW_MS
+                );
+            }
+            Err(e) => {
+                let blamed = if in_width { "duration_ms" } else { "nbits" };
+                prop_assert!(!(in_time && in_width), "rejected {}: {}", line, e);
+                prop_assert_eq!(e.field.as_str(), blamed, "{}", line);
+            }
         }
     }
 
